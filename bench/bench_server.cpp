@@ -57,6 +57,7 @@
 #include "graph/generators.hpp"
 #include "net/client.hpp"
 #include "platform/generators.hpp"
+#include "service/persistence.hpp"
 #include "service/server.hpp"
 #include "util/cli.hpp"
 #include "util/rng.hpp"
@@ -92,6 +93,14 @@ bool kills_a_task(const Schedule& s, const std::vector<ProcId>& set) {
     if (all_failed) return true;
   }
   return false;
+}
+
+/// Removes every snapshot generation `<base>.g<n>` (and a bare legacy
+/// `base`), so a run never starts warm from an earlier run's snapshot.
+void remove_snapshot_generations(const std::string& base) {
+  for (const SnapshotGeneration& generation : list_snapshot_generations(base)) {
+    ::unlink(generation.path.c_str());
+  }
 }
 
 /// Smallest failure set (pairs first, then triples) that breaks the
@@ -168,7 +177,7 @@ int main(int argc, char** argv) {
     std::cerr << "need --dags >= 1 and --procs >= 4\n";
     return 2;
   }
-  ::unlink(snapshot_path.c_str());  // measure a genuinely cold first run
+  remove_snapshot_generations(snapshot_path);  // measure a genuinely cold first run
 
   bench::BenchJson doc("server");
   doc.meta()
@@ -435,7 +444,7 @@ int main(int argc, char** argv) {
     (void)client.shutdown();
     handle.thread.join();
   }
-  ::unlink(snapshot_path.c_str());
+  remove_snapshot_generations(snapshot_path);
 
   doc.write(json_path);
   std::cout << "(wrote " << json_path << ")\n";

@@ -676,10 +676,14 @@ void reduce_exact_sets(const ExactSets& sets, const std::vector<unsigned char>& 
       continue;
     }
     // Decode the processor ids only when the record can observe them:
-    // without a kills list, record_killing_set reads the set solely when
-    // this row improves the worst-failure tracking — the same strict
-    // `prob > worst` predicate, evaluated in the same row order.
-    if (kills == nullptr && sets.weight[i] <= est.worst_failure_prob) continue;
+    // without a kills list, or once it is full, record_killing_set reads
+    // the set solely when this row improves the worst-failure tracking —
+    // the same strict `prob > worst` predicate, evaluated in the same row
+    // order.
+    if ((kills == nullptr || kills->size() >= kMaxKillingSets) &&
+        sets.weight[i] <= est.worst_failure_prob) {
+      continue;
+    }
     const std::uint64_t* row = sets.rows.data() + i * sets.words;
     set.clear();
     for (std::size_t u = 0; u < sets.m; ++u) {
@@ -690,6 +694,33 @@ void reduce_exact_sets(const ExactSets& sets, const std::vector<unsigned char>& 
   est.sets_checked = sets.enumerated;
   est.reliability = reliable_mass;
   est.exact = true;
+}
+
+// Per task, the processors hosting its placed replicas as one word row
+// (ProcSet layout). A failure set holding one of these rows kills the
+// schedule under every channel set.
+std::vector<std::uint64_t> task_host_rows(const Schedule& schedule, std::size_t words) {
+  std::vector<std::uint64_t> hosts(schedule.dag().num_tasks() * words, 0);
+  for (TaskId t = 0; t < schedule.dag().num_tasks(); ++t) {
+    for (CopyId c = 0; c < schedule.copies(); ++c) {
+      const ReplicaRef r{t, c};
+      if (!schedule.is_placed(r)) continue;
+      const ProcId u = schedule.placed(r).proc;
+      hosts[t * words + (u >> 6)] |= 1ULL << (u & 63);
+    }
+  }
+  return hosts;
+}
+
+// True when failure-set `row` holds every processor of some host row.
+bool holds_some_host_row(const std::uint64_t* row, const std::vector<std::uint64_t>& hosts,
+                         std::size_t words) {
+  for (std::size_t h = 0; h < hosts.size(); h += words) {
+    bool all = true;
+    for (std::size_t w = 0; w < words && all; ++w) all = (row[w] & hosts[h + w]) == hosts[h + w];
+    if (all) return true;
+  }
+  return false;
 }
 
 // Oracle-kernel estimator (kBatch and kOracle). Exact mode reuses the
@@ -898,11 +929,18 @@ RepairStats repair_to_reliability(Schedule& schedule, SurvivalOracle& oracle,
   // re-walks the cached rows in enumeration order every round, so the
   // estimate (reliability, sets_checked, killing sets, worst failure) is
   // bit-identical to a from-scratch re-enumeration.
+  //
+  // A killed row that holds every replica host of some task is killed for
+  // good: a replica on a failed processor is never computable, whatever
+  // channels get wired. Only the other killed rows stay `open` — the
+  // per-round scan and re-verification walk that list alone, and rows
+  // that flip to surviving leave it.
   const FailureWeights fw = failure_weights(schedule, options);
   const bool incremental = options.kernel == SurvivalKernel::kBatch &&
                            fw.total_sets <= static_cast<double>(options.max_sets);
   ExactSets cache;
   std::vector<unsigned char> killed;
+  std::vector<std::size_t> open;  // killed rows some future channel could flip
   std::vector<std::pair<ProcId, ProcId>> patched;  // channel endpoints wired since last verify
   std::vector<std::size_t> recheck;
   std::vector<std::uint64_t> recheck_rows;
@@ -915,10 +953,16 @@ RepairStats repair_to_reliability(Schedule& schedule, SurvivalOracle& oracle,
         cache = materialize_exact_sets(fw, m);
         batch_survival_check(oracle, cache.rows.data(), cache.size(), cache.words,
                              cache.size() >= 4096 ? options.exact_threads : 1, killed);
+        const std::vector<std::uint64_t> hosts = task_host_rows(schedule, cache.words);
+        for (std::size_t i = 0; i < cache.size(); ++i) {
+          if (killed[i] != 0 &&
+              !holds_some_host_row(cache.rows.data() + i * cache.words, hosts, cache.words)) {
+            open.push_back(i);
+          }
+        }
       } else if (!patched.empty()) {
         recheck.clear();
-        for (std::size_t i = 0; i < cache.size(); ++i) {
-          if (killed[i] == 0) continue;
+        for (const std::size_t i : open) {
           const std::uint64_t* row = cache.rows.data() + i * cache.words;
           for (const auto& [src, dst] : patched) {
             if (((row[src >> 6] >> (src & 63)) & 1) == 0 &&
@@ -940,6 +984,7 @@ RepairStats repair_to_reliability(Schedule& schedule, SurvivalOracle& oracle,
           for (std::size_t j = 0; j < recheck.size(); ++j) {
             killed[recheck[j]] = recheck_killed[j];
           }
+          std::erase_if(open, [&killed](std::size_t i) { return killed[i] == 0; });
         }
       }
       patched.clear();

@@ -269,8 +269,6 @@ CopyId achieved_tolerance(const SurvivalOracle& oracle, const ProcSet& failed, C
   for (ProcId u = 0; u < m; ++u) {
     if (!failed.test(u)) alive.push_back(u);
   }
-  if (alive.size() == m) return want;  // nothing failed: the built-for guarantee stands
-
   const std::size_t num_words = failed.num_words();
   std::vector<std::uint64_t> rows(64 * num_words);
   std::vector<std::uint64_t> set_scratch;

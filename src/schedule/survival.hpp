@@ -208,10 +208,11 @@ class SurvivalOracle {
 /// count-model tolerance k on the full platform (any k-subset containing a
 /// dead processor is dominated by a checked set), which is what lets
 /// snapshot verification re-check degraded claims with the plain
-/// `check_fault_tolerance(schedule, k)`. Returns `want` when `failed` is
-/// empty and 0 when the schedule does not even survive `failed` itself —
-/// callers distinguish "alive but fragile" from "dead" with a prior
-/// `survives(failed)` check.
+/// `check_fault_tolerance(schedule, k)`. An empty `failed` is enumerated
+/// like any other, so a schedule built for fewer failures than `want`
+/// reports what it really tolerates. Returns 0 when the schedule does not
+/// even survive `failed` itself — callers distinguish "alive but fragile"
+/// from "dead" with a prior `survives(failed)` check.
 [[nodiscard]] CopyId achieved_tolerance(const SurvivalOracle& oracle, const ProcSet& failed,
                                         CopyId want, BatchScratch& scratch);
 

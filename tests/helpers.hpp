@@ -1,6 +1,11 @@
-// Shared helpers for the streamsched test suite: hand-built schedules and
-// convenience wiring for small graphs.
+// Shared helpers for the streamsched test suite: hand-built schedules,
+// convenience wiring for small graphs, and snapshot-file cleanup.
 #pragma once
+
+#include <cstdint>
+#include <cstdio>
+#include <string>
+#include <utility>
 
 #include "graph/dag.hpp"
 #include "platform/platform.hpp"
@@ -30,5 +35,22 @@ inline std::uint32_t wire(Schedule& s, TaskId src_task, CopyId src_copy, TaskId 
   comm.finish = comm.start + s.platform().comm_time(s.dag().edge(e).volume, sp.proc, dp.proc);
   return s.add_comm(comm);
 }
+
+/// Removes every generation (and stale tmp) of a snapshot base path, on
+/// construction and destruction, so tests that save through a server
+/// leave no `<base>.g<n>` files behind.
+struct GenerationGuard {
+  std::string base;
+  explicit GenerationGuard(std::string b) : base(std::move(b)) { clean(); }
+  ~GenerationGuard() { clean(); }
+  void clean() const {
+    std::remove(base.c_str());
+    std::remove((base + ".tmp").c_str());
+    for (std::uint64_t seq = 0; seq <= 16; ++seq) {
+      std::remove((base + ".g" + std::to_string(seq)).c_str());
+      std::remove((base + ".g" + std::to_string(seq) + ".tmp").c_str());
+    }
+  }
+};
 
 }  // namespace streamsched::test

@@ -21,6 +21,7 @@
 
 #include "core/fingerprint.hpp"
 #include "graph/generators.hpp"
+#include "helpers.hpp"
 #include "net/client.hpp"
 #include "net/resilient_client.hpp"
 #include "net/socket.hpp"
@@ -69,20 +70,7 @@ struct FileGuard {
   ~FileGuard() { std::remove(path.c_str()); }
 };
 
-/// Removes every generation (and stale tmp) of a snapshot base path.
-struct GenerationGuard {
-  std::string base;
-  explicit GenerationGuard(std::string b) : base(std::move(b)) { clean(); }
-  ~GenerationGuard() { clean(); }
-  void clean() const {
-    std::remove(base.c_str());
-    std::remove((base + ".tmp").c_str());
-    for (std::uint64_t seq = 0; seq <= 16; ++seq) {
-      std::remove((base + ".g" + std::to_string(seq)).c_str());
-      std::remove((base + ".g" + std::to_string(seq) + ".tmp").c_str());
-    }
-  }
-};
+using test::GenerationGuard;
 
 struct ServerHandle {
   net::Server server;

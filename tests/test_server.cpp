@@ -19,6 +19,7 @@
 
 #include "core/fingerprint.hpp"
 #include "graph/generators.hpp"
+#include "helpers.hpp"
 #include "net/client.hpp"
 #include "net/wire.hpp"
 #include "platform/generators.hpp"
@@ -602,13 +603,13 @@ TEST(WireServer, SaturatedBatchLaneShedsWhileInteractiveLands) {
 TEST(WireServer, WarmRestartServesBitIdenticalWithoutColdPath) {
   const FileGuard sock1(unique_path("srv_warm1", ".sock"));
   const FileGuard sock2(unique_path("srv_warm2", ".sock"));
-  const FileGuard snap(unique_path("srv_warm", ".snapshot"));
+  const test::GenerationGuard snap(unique_path("srv_warm", ".snapshot"));
 
   std::vector<std::string> fps;
   {
     net::ServerConfig config;
     config.unix_path = sock1.path;
-    config.snapshot_path = snap.path;
+    config.snapshot_path = snap.base;
     ServerHandle first(small_platform(), config);
     net::Client client = net::Client::connect_unix_path(sock1.path);
     for (std::uint64_t seed : {241u, 242u}) {
@@ -622,7 +623,7 @@ TEST(WireServer, WarmRestartServesBitIdenticalWithoutColdPath) {
 
   net::ServerConfig config;
   config.unix_path = sock2.path;
-  config.snapshot_path = snap.path;
+  config.snapshot_path = snap.base;
   ServerHandle second(small_platform(), config);
   net::Client client = net::Client::connect_unix_path(sock2.path);
   for (std::size_t i = 0; i < 2; ++i) {
@@ -642,14 +643,14 @@ TEST(WireServer, WarmRestartServesBitIdenticalWithoutColdPath) {
 TEST(WireServer, DegradedProvenanceBrownoutOptInAndWarmRestart) {
   const FileGuard sock1(unique_path("srv_deg1", ".sock"));
   const FileGuard sock2(unique_path("srv_deg2", ".sock"));
-  const FileGuard snap(unique_path("srv_deg", ".snapshot"));
+  const test::GenerationGuard snap(unique_path("srv_deg", ".snapshot"));
 
   std::string degraded_fp;
   std::uint64_t eps_have = 0;
   {
     net::ServerConfig config;
     config.unix_path = sock1.path;
-    config.snapshot_path = snap.path;
+    config.snapshot_path = snap.base;
     config.daemon.auto_reheal = false;  // deterministic: no background pass
     // Five processors: failing three leaves two alive, beyond an ε = 2
     // repair or rebuild — the entry must degrade, not drop.
@@ -704,7 +705,7 @@ TEST(WireServer, DegradedProvenanceBrownoutOptInAndWarmRestart) {
   // eps_have/eps_want, still refusing callers that do not opt in.
   net::ServerConfig config;
   config.unix_path = sock2.path;
-  config.snapshot_path = snap.path;
+  config.snapshot_path = snap.base;
   config.daemon.auto_reheal = false;
   ServerHandle second(small_platform(5, 5), config);
   net::Client client = net::Client::connect_unix_path(sock2.path);

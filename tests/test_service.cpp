@@ -522,6 +522,48 @@ TEST(PlacementDaemon, BeyondRepairDegradesInsteadOfDropping) {
   EXPECT_TRUE(check_fault_tolerance(healed.placement->schedule, 2).valid);
 }
 
+TEST(PlacementDaemon, CappedRebuildStaysDegradedAfterFullRecovery) {
+  // Failing 3 of 5 processors rebuilds the ε = 2 entry at a capped ε = 1
+  // (two replicas per task). Recovering every processor restores the
+  // capacity, not the guarantee: the entry must stay degraded until a
+  // re-heal pass reschedules it, and no entry may claim more tolerance
+  // than the exhaustive check proves.
+  EventBus bus;
+  DaemonConfig config;
+  config.auto_reheal = false;  // deterministic: re-heal only on request
+  PlacementDaemon daemon(small_platform(5, 5), config, &bus);
+  ASSERT_TRUE(daemon.admit(request_for(61, 2)).ok);
+  const auto expect_claims_hold = [&daemon] {
+    for (const auto& entry : daemon.snapshot_entries()) {
+      EXPECT_EQ(entry->degraded, entry->eps_have < entry->eps_want);
+      EXPECT_TRUE(check_fault_tolerance(entry->schedule, entry->eps_have).valid)
+          << "eps_have=" << entry->eps_have;
+      if (!entry->degraded) {
+        EXPECT_TRUE(check_fault_tolerance(entry->schedule, entry->eps_want).valid);
+      }
+    }
+  };
+
+  for (ProcId p : {0u, 1u, 2u}) {
+    bus.publish(ClusterEvent{ClusterEvent::Kind::kFailure, p});
+  }
+  ASSERT_EQ(daemon.degraded_count(), 1u);
+  ASSERT_EQ(daemon.snapshot_entries().front()->schedule.eps(), 1u);  // the capped rebuild
+
+  for (ProcId p : {0u, 1u, 2u}) {
+    bus.publish(ClusterEvent{ClusterEvent::Kind::kRecovery, p});
+    expect_claims_hold();
+  }
+  EXPECT_EQ(daemon.failed_procs(), 0u);
+  EXPECT_EQ(daemon.degraded_count(), 1u) << "a two-replica rebuild cannot carry eps=2";
+  EXPECT_EQ(daemon.stats().reheals, 0u);
+
+  daemon.reheal_now();
+  EXPECT_EQ(daemon.degraded_count(), 0u);
+  EXPECT_EQ(daemon.stats().reheals, 1u);
+  expect_claims_hold();
+}
+
 TEST(PlacementDaemon, BackgroundRehealPromotesDegradedEntries) {
   // Same degradation scenario as above, but with auto_reheal left on: the
   // recovery event queues a re-heal pass on the global thread pool, and

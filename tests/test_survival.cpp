@@ -12,6 +12,7 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <bit>
 #include <limits>
 #include <vector>
 
@@ -437,6 +438,73 @@ TEST(Survival, IncrementalRepairMatchesFullReverification) {
     EXPECT_EQ(incremental.comms()[i].src.copy, full.comms()[i].src.copy) << "comm " << i;
     EXPECT_EQ(incremental.comms()[i].dst.task, full.comms()[i].dst.task) << "comm " << i;
     EXPECT_EQ(incremental.comms()[i].dst.copy, full.comms()[i].dst.copy) << "comm " << i;
+  }
+}
+
+// The same parity at the placement service's probabilistic admission
+// scale (16 processors, 26 tasks, R = 0.99 so ε = 3): the enumeration
+// kills far more than the 64 recorded killing sets per round, and many
+// killed rows hold every replica host of some task, so the incremental
+// loop's decode skip and its killed-for-good rows are both exercised.
+// Seed 6's worst failure set comes after the killing-set list is full;
+// the first seed repairs over three rounds.
+TEST(Survival, IncrementalRepairMatchesFullReverificationAtAdmissionScale) {
+  for (const std::uint64_t seed : {0x5eedc105e5ULL, 6ULL}) {
+    Rng rng(seed);
+    const Platform platform = make_reliability_heterogeneous(rng, 16, 0.02, 0.08);
+    const Dag dag = make_random_layered(rng, 26, 4, 0.4, WeightRanges{});
+    SchedulerOptions options;
+    options.fault_model = FaultModel::parse("prob:R=0.99");
+    options.period = kInf;
+    ScheduleResult r = rltf_schedule(dag, platform, options);
+    ASSERT_TRUE(r.ok()) << r.error;
+    ASSERT_EQ(r.schedule->eps(), 3u);
+
+    // More than kMaxKillingSets (64) killing sets before any repair.
+    SurvivalOracle oracle(*r.schedule);
+    ProcSet failed(16);
+    std::size_t killing = 0;
+    for (std::uint32_t k = 0; k <= 4; ++k) {
+      for_each_failure_set(16, k, failed, [&](const ProcSet& f, const std::vector<ProcId>&) {
+        if (!oracle.survives(f)) ++killing;
+        return true;
+      });
+    }
+    ASSERT_GT(killing, 64u) << "seed " << seed;
+
+    Schedule incremental = *r.schedule;
+    Schedule full = *r.schedule;
+    ReliabilityOptions batch_opts;   // kBatch: cached rows, open-row re-verify
+    ReliabilityOptions oracle_opts;  // kOracle: from-scratch enumeration per round
+    oracle_opts.kernel = SurvivalKernel::kOracle;
+    ReliabilityEstimate achieved_inc;
+    ReliabilityEstimate achieved_full;
+    const RepairStats a = repair_to_reliability(incremental, 0.99, batch_opts, &achieved_inc);
+    const RepairStats b = repair_to_reliability(full, 0.99, oracle_opts, &achieved_full);
+    EXPECT_GE(a.rounds, 1u) << "scenario must re-verify cached rows";
+    EXPECT_EQ(a.success, b.success) << "seed " << seed;
+    EXPECT_EQ(a.added_comms, b.added_comms) << "seed " << seed;
+    EXPECT_EQ(a.rounds, b.rounds) << "seed " << seed;
+    EXPECT_EQ(a.period_exceeded, b.period_exceeded) << "seed " << seed;
+    EXPECT_EQ(a.reliability, b.reliability) << "seed " << seed;
+    EXPECT_EQ(std::bit_cast<std::uint64_t>(achieved_inc.reliability),
+              std::bit_cast<std::uint64_t>(achieved_full.reliability))
+        << "seed " << seed;
+    EXPECT_EQ(std::bit_cast<std::uint64_t>(achieved_inc.worst_failure_prob),
+              std::bit_cast<std::uint64_t>(achieved_full.worst_failure_prob))
+        << "seed " << seed;
+    EXPECT_EQ(achieved_inc.worst_failure, achieved_full.worst_failure) << "seed " << seed;
+    EXPECT_EQ(achieved_inc.sets_checked, achieved_full.sets_checked) << "seed " << seed;
+    ASSERT_EQ(incremental.comms().size(), full.comms().size()) << "seed " << seed;
+    for (std::size_t i = 0; i < incremental.comms().size(); ++i) {
+      const CommRecord& x = incremental.comms()[i];
+      const CommRecord& y = full.comms()[i];
+      EXPECT_EQ(x.edge, y.edge) << "seed " << seed << " comm " << i;
+      EXPECT_EQ(x.src.task, y.src.task) << "seed " << seed << " comm " << i;
+      EXPECT_EQ(x.src.copy, y.src.copy) << "seed " << seed << " comm " << i;
+      EXPECT_EQ(x.dst.task, y.dst.task) << "seed " << seed << " comm " << i;
+      EXPECT_EQ(x.dst.copy, y.dst.copy) << "seed " << seed << " comm " << i;
+    }
   }
 }
 
