@@ -12,7 +12,10 @@
 //   - repair mode: end-to-end `repair_to_reliability` on an unrepaired
 //     schedule (exact estimates, truncation loosened so m = 32 stays
 //     enumerable), legacy vs per-set re-enumeration vs the batch kernel's
-//     incremental killing-set cache.
+//     incremental killing-set cache;
+//   - count-repair mode: end-to-end `repair_fault_tolerance` at m = 16,
+//     ε = 2 and 3, on 52- and 104-task DAGs at a calibrated period
+//     (rounds, added channels, time; no gate).
 //
 // All kernels must agree: exact reliabilities bit-identical, MC estimates
 // identical at a fixed seed, repair stats (rounds, added channels,
@@ -34,6 +37,8 @@
 
 #include "core/rltf.hpp"
 #include "emit_bench_json.hpp"
+#include "exp/sweep.hpp"
+#include "exp/workload.hpp"
 #include "graph/generators.hpp"
 #include "platform/generators.hpp"
 #include "schedule/fault_tolerance.hpp"
@@ -336,6 +341,53 @@ int main(int argc, char** argv) {
       if (run.kernel == SurvivalKernel::kBatch) {
         row.add("speedup_vs_oracle", runs[1].seconds / run.seconds);
       }
+    }
+  }
+
+  // --- count-model repair ---------------------------------------------
+  // End-to-end `repair_fault_tolerance` at m = 16 on unrepaired R-LTF
+  // schedules at the placement service's calibrated period (headroom 2,
+  // period escalation as on the daemon's cold path), where replica chains
+  // cross and repair wires many channels per killing set. Reported, not
+  // gated.
+  for (const std::size_t tasks : {52, 104}) {
+    for (const CopyId count_eps : {CopyId{2}, CopyId{3}}) {
+      const std::size_t m = 16;
+      Rng rng(seed + 0x2545f4914f6cdd1dULL * (tasks + count_eps));
+      const Platform platform = make_reliability_heterogeneous(rng, m, 0.02, 0.08);
+      const Dag dag = make_random_layered(rng, tasks, 5, 0.3, WeightRanges{});
+      SchedulerOptions options;
+      options.eps = count_eps;
+      options.repair = false;  // leave killing sets for repair_fault_tolerance
+      const double period = calibrate_period(dag, platform, count_eps, 2.0, 1.0);
+      const auto [r, factor] =
+          schedule_with_period_escalation(AlgoVariant("rltf"), dag, platform, period, options);
+      if (!r.ok()) {
+        std::cerr << "count repair tasks=" << tasks << " eps=" << count_eps
+                  << ": scheduling failed (" << r.error << "), skipping\n";
+        continue;
+      }
+      RepairStats stats;
+      const double seconds = best_seconds(reps, [&] {
+        Schedule clone = *r.schedule;
+        stats = repair_fault_tolerance(clone, count_eps);
+      });
+      if (!stats.success) {
+        std::cerr << "count repair tasks=" << tasks << " eps=" << count_eps << " failed\n";
+        ok = false;
+      }
+      std::cout << "count repair m=" << m << "  tasks=" << tasks << "  eps=" << count_eps
+                << "  factor=" << factor << "  rounds=" << stats.rounds
+                << "  added=" << stats.added_comms << "  " << seconds * 1e3 << "ms\n";
+      doc.add_result()
+          .add("m", static_cast<std::uint64_t>(m))
+          .add("mode", "count_repair")
+          .add("tasks", static_cast<std::uint64_t>(tasks))
+          .add("eps", static_cast<std::uint64_t>(count_eps))
+          .add("period_factor", factor)
+          .add("rounds", static_cast<std::uint64_t>(stats.rounds))
+          .add("added_comms", static_cast<std::uint64_t>(stats.added_comms))
+          .add("seconds", seconds);
     }
   }
 

@@ -233,86 +233,96 @@ ReplicaRef pick_repair_supplier(const Schedule& schedule, ReplicaRef r, TaskId p
   return best;
 }
 
-// Wires supply channels fixing the topologically first task that has no
-// computable replica under `failed` (one task per call, mirroring the
-// original repair rounds: fixing it may fix everything downstream).
-// `alive` is the oracle's computability under `failed` (stale after this
-// call: the caller patches the oracle with the comms added here and
-// recomputes). Returns false when the set is beyond repair — no alive
-// replica of the dead task, or a starving predecessor with no computable
-// replica to wire.
-bool repair_step(Schedule& schedule, const ProcSet& failed,
-                 const std::vector<std::uint64_t>& alive, std::size_t mask_words,
-                 RepairStats& stats) {
+// Wires supply channels into dead task t under `failed`: picks the alive
+// replica with the fewest starving predecessors and feeds each of its
+// starving predecessors from a computable replica. `alive` must hold
+// current rows for t's predecessors. Returns false when t is beyond repair
+// — no replica of t on an alive processor, or a starving predecessor with
+// no computable replica to wire.
+bool wire_dead_task(Schedule& schedule, TaskId t, const ProcSet& failed,
+                    const std::vector<std::uint64_t>& alive, std::size_t mask_words,
+                    RepairStats& stats) {
   const Dag& dag = schedule.dag();
 
-  for (TaskId t : dag.topological_order()) {
-    const std::uint64_t* task_alive = alive.data() + t * mask_words;
-    bool dead = true;
-    for (std::size_t w = 0; w < mask_words && dead; ++w) dead = task_alive[w] == 0;
-    if (!dead) continue;  // some replica is computable
-
-    // Choose the alive replica with the fewest starving predecessors.
-    ReplicaRef target{kInvalidTask, 0};
-    std::size_t best_missing = std::numeric_limits<std::size_t>::max();
-    for (CopyId c = 0; c < schedule.copies(); ++c) {
-      const ReplicaRef r{t, c};
-      if (failed.test(schedule.placed(r).proc)) continue;
-      std::size_t missing = 0;
-      for (TaskId pred : dag.predecessors(t)) {
-        bool fed = false;
-        for (ReplicaRef sup : schedule.suppliers(r, pred)) {
-          if (replica_mask_test(alive.data() + pred * mask_words, sup.copy)) {
-            fed = true;
-            break;
-          }
-        }
-        if (!fed) ++missing;
-      }
-      if (missing < best_missing) {
-        best_missing = missing;
-        target = r;
-      }
-    }
-    if (target.task == kInvalidTask) return false;
-
+  // Choose the alive replica with the fewest starving predecessors.
+  ReplicaRef target{kInvalidTask, 0};
+  std::size_t best_missing = std::numeric_limits<std::size_t>::max();
+  for (CopyId c = 0; c < schedule.copies(); ++c) {
+    const ReplicaRef r{t, c};
+    if (failed.test(schedule.placed(r).proc)) continue;
+    std::size_t missing = 0;
     for (TaskId pred : dag.predecessors(t)) {
       bool fed = false;
-      for (ReplicaRef sup : schedule.suppliers(target, pred)) {
+      for (ReplicaRef sup : schedule.suppliers(r, pred)) {
         if (replica_mask_test(alive.data() + pred * mask_words, sup.copy)) {
           fed = true;
           break;
         }
       }
-      if (fed) continue;
-      const ReplicaRef sup = pick_repair_supplier(schedule, target, pred, alive, mask_words);
-      if (sup.task == kInvalidTask) return false;
-      const EdgeId e = dag.find_edge(pred, t);
-      CommRecord comm;
-      comm.edge = e;
-      comm.src = sup;
-      comm.dst = target;
-      comm.start = comm.finish = schedule.placed(sup).finish;
-      comm.repair = true;
-      schedule.add_comm(comm);
-      ++stats.added_comms;
+      if (!fed) ++missing;
     }
-    return true;
+    if (missing < best_missing) {
+      best_missing = missing;
+      target = r;
+    }
   }
-  return true;  // nothing dead: the schedule already survives this set
+  if (target.task == kInvalidTask) return false;
+
+  for (TaskId pred : dag.predecessors(t)) {
+    bool fed = false;
+    for (ReplicaRef sup : schedule.suppliers(target, pred)) {
+      if (replica_mask_test(alive.data() + pred * mask_words, sup.copy)) {
+        fed = true;
+        break;
+      }
+    }
+    if (fed) continue;
+    const ReplicaRef sup = pick_repair_supplier(schedule, target, pred, alive, mask_words);
+    if (sup.task == kInvalidTask) return false;
+    const EdgeId e = dag.find_edge(pred, t);
+    CommRecord comm;
+    comm.edge = e;
+    comm.src = sup;
+    comm.dst = target;
+    comm.start = comm.finish = schedule.placed(sup).finish;
+    comm.repair = true;
+    schedule.add_comm(comm);
+    ++stats.added_comms;
+  }
+  return true;
 }
 
-// Runs one repair step under `failed` and patches `oracle` with the added
-// supply channels, so the oracle stays current without a recompile.
-bool repair_step_patched(Schedule& schedule, SurvivalOracle& oracle, const ProcSet& failed,
-                         std::vector<std::uint64_t>& alive, RepairStats& stats) {
-  oracle.computable(failed, alive);
-  std::size_t wired = schedule.comms().size();
-  const bool repaired = repair_step(schedule, failed, alive, oracle.mask_words(), stats);
-  for (; wired < schedule.comms().size(); ++wired) {
-    oracle.add_comm(schedule.comms()[wired]);
+enum class PassEnd { kSurvives, kBeyondRepair, kOutOfSteps };
+
+// One topological repair pass under `failed`. The pass walks the oracle's
+// topological order once, refreshing each task's alive row from its
+// predecessors' rows; a dead task gets its target replica wired
+// (wire_dead_task), the oracle is patched, and the task is refreshed again
+// before the walk moves on. Channels into t only change t and its
+// descendants, which the walk has not reached yet, so every choice sees
+// exactly the rows a full recompute would give it: the comms, and their
+// order, are those of fixing the topologically first dead task and then
+// re-checking the whole set, once per step. Each wired task is one step
+// (`steps` counts them); the pass stops once `steps` reaches `max_steps`,
+// as a step-per-check loop would stop without re-checking.
+PassEnd repair_pass(Schedule& schedule, SurvivalOracle& oracle, const ProcSet& failed,
+                    std::vector<std::uint64_t>& alive, std::uint32_t& steps,
+                    std::uint32_t max_steps, RepairStats& stats) {
+  alive.resize(oracle.num_tasks() * oracle.mask_words());
+  const std::uint64_t* failed_words = failed.words();
+  for (const TaskId t : oracle.topological_order()) {
+    while (!oracle.refresh_task(t, failed_words, alive.data())) {
+      std::size_t wired = schedule.comms().size();
+      const bool repaired =
+          wire_dead_task(schedule, t, failed, alive, oracle.mask_words(), stats);
+      for (; wired < schedule.comms().size(); ++wired) {
+        oracle.add_comm(schedule.comms()[wired]);
+      }
+      if (!repaired) return PassEnd::kBeyondRepair;
+      if (++steps == max_steps) return PassEnd::kOutOfSteps;
+    }
   }
-  return repaired;
+  return PassEnd::kSurvives;
 }
 
 // Channel-capacity bound on repair iterations: each productive step adds at
@@ -356,15 +366,18 @@ RepairStats repair_fault_tolerance(Schedule& schedule, SurvivalOracle& oracle,
   ResumableCheck state(schedule.platform().num_procs(), max_failures);
   ProcSet failed(schedule.platform().num_procs());
   std::vector<std::uint64_t> alive;
-  for (stats.rounds = 0; stats.rounds < max_rounds; ++stats.rounds) {
+  while (stats.rounds < max_rounds) {
     const FtCheckResult check = check_with_oracle(oracle, state);
     if (check.valid) {
       stats.success = true;
       break;
     }
+    // One pass repairs the whole counterexample; the next check resumes at
+    // it, finds it surviving, and moves on.
     failed.assign(check.counterexample);
-    const bool repaired = repair_step_patched(schedule, oracle, failed, alive, stats);
-    SS_CHECK(repaired,
+    const PassEnd end =
+        repair_pass(schedule, oracle, failed, alive, stats.rounds, max_rounds, stats);
+    SS_CHECK(end != PassEnd::kBeyondRepair,
              "failure set of size <= eps is beyond repair although replicas sit on "
              "distinct processors");
   }
@@ -381,15 +394,9 @@ RepairStats repair_for_failure_set(Schedule& schedule, SurvivalOracle& oracle,
   SS_REQUIRE(failed.size() == schedule.platform().num_procs(),
              "failure set size != processor count");
   RepairStats stats;
-  const std::uint32_t max_rounds = max_repair_rounds(schedule);
   std::vector<std::uint64_t> alive;
-  for (stats.rounds = 0; stats.rounds < max_rounds; ++stats.rounds) {
-    if (oracle.survives(failed)) {
-      stats.success = true;
-      break;
-    }
-    if (!repair_step_patched(schedule, oracle, failed, alive, stats)) break;  // beyond repair
-  }
+  stats.success = repair_pass(schedule, oracle, failed, alive, stats.rounds,
+                              max_repair_rounds(schedule), stats) == PassEnd::kSurvives;
   record_period_excess(schedule, stats);
   return stats;
 }
@@ -1004,18 +1011,17 @@ RepairStats repair_to_reliability(Schedule& schedule, SurvivalOracle& oracle,
       failed.assign(kill.procs);
       // Wire until this set survives or turns out to be beyond repair
       // (e.g. every replica of some task sits on the failed processors).
-      for (std::uint32_t guard = 0; guard < max_rounds; ++guard) {
-        if (oracle.survives(failed)) break;
-        const std::size_t comms_before = schedule.comms().size();
-        if (!repair_step_patched(schedule, oracle, failed, alive, stats)) break;
-        if (incremental) {
-          for (std::size_t ci = comms_before; ci < schedule.comms().size(); ++ci) {
-            const CommRecord& comm = schedule.comms()[ci];
-            patched.emplace_back(schedule.placed(comm.src).proc, schedule.placed(comm.dst).proc);
-          }
+      const std::size_t comms_before = schedule.comms().size();
+      std::uint32_t steps = 0;
+      repair_pass(schedule, oracle, failed, alive, steps, max_rounds, stats);
+      if (schedule.comms().size() == comms_before) continue;
+      if (incremental) {
+        for (std::size_t ci = comms_before; ci < schedule.comms().size(); ++ci) {
+          const CommRecord& comm = schedule.comms()[ci];
+          patched.emplace_back(schedule.placed(comm.src).proc, schedule.placed(comm.dst).proc);
         }
-        est_current = false;
       }
+      est_current = false;
     }
     if (stats.added_comms == before) break;  // nothing repairable remains
   }

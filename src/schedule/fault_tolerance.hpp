@@ -18,6 +18,15 @@
 // enforces the paper's stated guarantee by adding supply channels until
 // every failure set is survivable; experiments run with repair enabled and
 // report how much repair was needed.
+//
+// Every repair entry point fixes a killing set F in one topological pass:
+// each task's alive mask is refreshed from its predecessors' as the walk
+// reaches it, and a dead task gets its best alive replica wired on the
+// spot (the oracle is patched and the task refreshed before the walk moves
+// on). Channels into a task change only it and its descendants, so the
+// pass wires exactly what fixing the topologically first dead task and
+// re-checking F after every step would. `RepairStats::rounds` counts one
+// step per wired task for the count and one-set repairs.
 #pragma once
 
 #include <cstdint>
@@ -61,6 +70,9 @@ struct FtCheckResult {
 struct RepairStats {
   bool success = false;
   std::uint32_t added_comms = 0;
+  /// Count and one-set repairs: tasks wired (one repair step each).
+  /// Probabilistic repair: rounds that estimated and then wired killing
+  /// sets.
   std::uint32_t rounds = 0;
   /// True when an added channel pushed some port load beyond the period
   /// (recorded, not fatal: reliability takes precedence, as in the paper).
@@ -93,8 +105,8 @@ RepairStats repair_fault_tolerance(Schedule& schedule, SurvivalOracle& oracle,
 /// survive exactly that state). `oracle` must be compiled from `schedule`
 /// and is patched in place. `success` is false when the set is beyond
 /// repair (e.g. every replica of some task sits on failed processors);
-/// `rounds` counts the repair steps taken (0 when the schedule already
-/// survives).
+/// `rounds` counts the tasks wired (0 when the schedule already
+/// survives). One topological pass over `failed` does the whole repair.
 RepairStats repair_for_failure_set(Schedule& schedule, SurvivalOracle& oracle,
                                    const ProcSet& failed);
 

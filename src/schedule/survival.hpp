@@ -173,17 +173,33 @@ class SurvivalOracle {
   /// `computable_replicas`. No early exit (dead tasks store 0).
   void computable(const ProcSet& failed, std::vector<std::uint64_t>& alive) const;
 
+  /// The order every pass evaluates tasks in (the DAG's topological
+  /// order, fixed at compilation).
+  [[nodiscard]] const std::vector<TaskId>& topological_order() const { return topo_; }
+
+  /// Recomputes row t of `alive` (the `computable` layout) from the
+  /// failure set and the rows of t's predecessors, which must be current;
+  /// returns true when some replica of t is computable. This is the
+  /// per-task body every full pass runs, exposed so a caller that patches
+  /// channels into t (repair) can refresh t alone instead of the whole
+  /// DAG: channels into t only change t and its descendants.
+  bool refresh_task(TaskId t, const std::uint64_t* failed_words, std::uint64_t* alive) const;
+
  private:
-  /// Shared alive-mask propagation over the topological order for the
-  /// single-word (copies <= 64) layout; returns false (only when
-  /// kEarlyExit) as soon as a task has no computable replica, otherwise
-  /// stores every task's mask (0 for dead tasks).
-  template <bool kEarlyExit>
-  bool propagate(const std::uint64_t* failed_words, std::uint64_t* alive) const;
+  /// Per-task body for the single-word (copies <= 64) layout. Both
+  /// bodies are inline in survival.cpp, so each full pass runs them
+  /// without a call per task.
+  bool refresh_narrow(TaskId t, const std::uint64_t* failed_words, std::uint64_t* alive) const;
 
   /// Multi-word generalization for copies > 64 (row stride mask_words_).
+  bool refresh_wide(TaskId t, const std::uint64_t* failed_words, std::uint64_t* alive) const;
+
+  /// Alive-mask propagation: one per-task body per task in topological
+  /// order. Returns false (only when kEarlyExit) as soon as a task has no
+  /// computable replica, otherwise stores every task's row (0 for dead
+  /// tasks).
   template <bool kEarlyExit>
-  bool propagate_wide(const std::uint64_t* failed_words, std::uint64_t* alive) const;
+  bool propagate(const std::uint64_t* failed_words, std::uint64_t* alive) const;
 
   std::size_t num_procs_ = 0;
   std::size_t num_tasks_ = 0;

@@ -131,6 +131,7 @@ PlacementResponse PlacementDaemon::admit(PlacementRequest request) {
                                                       failed);
       if (live.success) {
         placement->event_repair_comms += live.added_comms;
+        if (live.added_comms > 0) placement->refresh_facts();
         if (placement->degraded) certify(*placement, failed, scratch);
       } else {
         auto rebuilt = rebuild_degraded(*placement, failed, scratch);
@@ -262,6 +263,7 @@ void PlacementDaemon::on_event(const ClusterEvent& event) {
         repair_for_failure_set(patched->schedule, patched->oracle, failed_);
     if (live.success) {
       patched->event_repair_comms += live.added_comms;
+      patched->refresh_facts();
       patched->epoch = epoch_;
       bool verified = true;
       if (config_.verify_repairs) {

@@ -16,11 +16,13 @@
 #include <memory>
 #include <string>
 
+#include "core/fingerprint.hpp"
 #include "core/variant.hpp"
 #include "graph/dag.hpp"
 #include "platform/platform.hpp"
 #include "schedule/fault_model.hpp"
 #include "schedule/fault_tolerance.hpp"
+#include "schedule/metrics.hpp"
 #include "schedule/schedule.hpp"
 #include "schedule/survival.hpp"
 
@@ -54,12 +56,28 @@ struct CachedPlacement {
       : dag(std::move(dag_in)),
         platform(std::move(platform_in)),
         schedule(std::move(schedule_in)),
-        oracle(schedule) {}
+        oracle(schedule) {
+    refresh_facts();
+  }
+
+  /// Re-derives the response facts below from `schedule`. The constructor
+  /// runs it; whoever patches a placement's schedule before publishing it
+  /// (live event repair) runs it again, so every published placement
+  /// carries the facts of its own schedule and a cache hit only formats.
+  void refresh_facts() {
+    fingerprint = schedule_fingerprint(schedule);
+    stages = num_stages(schedule);
+    latency = latency_upper_bound(schedule);
+  }
 
   std::shared_ptr<const Dag> dag;
   std::shared_ptr<const Platform> platform;
   Schedule schedule;
   SurvivalOracle oracle;
+
+  std::uint64_t fingerprint = 0;  ///< schedule_fingerprint(schedule)
+  std::uint32_t stages = 0;       ///< num_stages(schedule)
+  double latency = 0.0;           ///< latency_upper_bound(schedule)
 
   FaultModel model = FaultModel::count(0);
   std::string variant;         ///< canonical variant spec

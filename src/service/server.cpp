@@ -19,9 +19,7 @@
 #include <utility>
 #include <vector>
 
-#include "core/fingerprint.hpp"
 #include "net/socket.hpp"
-#include "schedule/metrics.hpp"
 #include "service/persistence.hpp"
 #include "util/assert.hpp"
 #include "util/async_log.hpp"
@@ -39,6 +37,42 @@ std::string hex16(std::uint64_t v) {
 }
 
 }  // namespace
+
+std::string format_admission(const PlacementResponse& resp, const std::string& tag) {
+  if (!resp.ok) {
+    if (resp.degraded_refused) {
+      return format_error(WireCode::kDegraded,
+                          resp.error.empty() ? "placement degraded" : resp.error, tag);
+    }
+    return format_error(WireCode::kInfeasible,
+                        resp.error.empty() ? "no feasible placement" : resp.error, tag);
+  }
+  const CachedPlacement& p = *resp.placement;
+  // Degraded provenance overrides cold/hit/warm: a caller that opted into
+  // brownout serving must see the weaker contract first.
+  const char* src = p.degraded       ? "degraded"
+                    : !resp.cache_hit ? "cold"
+                                      : (p.from_snapshot ? "warm" : "hit");
+  OkBuilder ok;
+  if (!tag.empty()) ok.add("tag", tag);
+  ok.add("src", src)
+      .add("epoch", resp.epoch)
+      .add("fp", hex16(p.fingerprint))
+      .add("eps", static_cast<std::uint64_t>(p.schedule.eps()))
+      .add("stages", static_cast<std::uint64_t>(p.stages))
+      .add("period", p.schedule.period())
+      .add("latency", p.latency)
+      .add("rel", p.reliability)
+      .add("factor", p.period_factor)
+      .add("repair_comms", static_cast<std::uint64_t>(p.repair.added_comms +
+                                                      p.event_repair_comms));
+  if (p.degraded) {
+    ok.add("degraded", std::uint64_t{1})
+        .add("eps_have", static_cast<std::uint64_t>(p.eps_have))
+        .add("eps_want", static_cast<std::uint64_t>(p.eps_want));
+  }
+  return ok.str();
+}
 
 struct Server::Impl {
   struct Connection {
@@ -166,43 +200,7 @@ struct Server::Impl {
       request.headroom = frame.headroom;
       request.comm_share = frame.comm_share;
       request.degraded_ok = frame.degraded_ok;
-      const PlacementResponse resp = server->daemon_->admit(std::move(request));
-      if (!resp.ok) {
-        if (resp.degraded_refused) {
-          return format_error(WireCode::kDegraded,
-                              resp.error.empty() ? "placement degraded" : resp.error,
-                              frame.tag);
-        }
-        return format_error(WireCode::kInfeasible,
-                            resp.error.empty() ? "no feasible placement" : resp.error,
-                            frame.tag);
-      }
-      const CachedPlacement& p = *resp.placement;
-      // Degraded provenance overrides cold/hit/warm: a caller that opted
-      // into brownout serving must see the weaker contract first.
-      const char* src = p.degraded ? "degraded"
-                        : !resp.cache_hit
-                            ? "cold"
-                            : (p.from_snapshot ? "warm" : "hit");
-      OkBuilder ok;
-      if (!frame.tag.empty()) ok.add("tag", frame.tag);
-      ok.add("src", src)
-          .add("epoch", resp.epoch)
-          .add("fp", hex16(schedule_fingerprint(p.schedule)))
-          .add("eps", static_cast<std::uint64_t>(p.schedule.eps()))
-          .add("stages", static_cast<std::uint64_t>(num_stages(p.schedule)))
-          .add("period", p.schedule.period())
-          .add("latency", latency_upper_bound(p.schedule))
-          .add("rel", p.reliability)
-          .add("factor", p.period_factor)
-          .add("repair_comms",
-               static_cast<std::uint64_t>(p.repair.added_comms + p.event_repair_comms));
-      if (p.degraded) {
-        ok.add("degraded", std::uint64_t{1})
-            .add("eps_have", static_cast<std::uint64_t>(p.eps_have))
-            .add("eps_want", static_cast<std::uint64_t>(p.eps_want));
-      }
-      return ok.str();
+      return format_admission(server->daemon_->admit(std::move(request)), frame.tag);
     } catch (const std::exception& e) {
       return format_error(WireCode::kInternal, e.what(), frame.tag);
     }

@@ -110,6 +110,13 @@ struct LaneStats {
   std::uint64_t completed = 0;  ///< responses produced by lane workers
 };
 
+/// The SUBMIT response line for one admission: `OK src=... fp=... ...`
+/// (src is degraded/cold/warm/hit), or `ERR DEGRADED`/`ERR INFEASIBLE`
+/// when the daemon refused. Reads the response facts the placement stored
+/// when it was published, so a hit formats without re-hashing.
+[[nodiscard]] std::string format_admission(const PlacementResponse& resp,
+                                           const std::string& tag);
+
 class Server {
  public:
   /// Binds the configured listeners and loads the warm-start snapshot (if

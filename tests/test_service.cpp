@@ -4,10 +4,14 @@
 // after a cold admission, epoch bumps with copy-free re-keying on
 // recovery, incremental event repair whose result matches a fresh
 // reschedule on feasibility (both survive the live failure set, both keep
-// the model guarantee), and the async submit path on the shared pool.
+// the model guarantee), response facts stored at publish time (a hit
+// formats the cold line; an event-repaired entry reports its repaired
+// schedule), and the async submit path on the shared pool.
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <cinttypes>
+#include <cstdio>
 #include <future>
 #include <limits>
 #include <thread>
@@ -19,11 +23,13 @@
 #include "graph/generators.hpp"
 #include "platform/generators.hpp"
 #include "schedule/fault_tolerance.hpp"
+#include "schedule/metrics.hpp"
 #include "schedule/survival.hpp"
 #include "service/churn.hpp"
 #include "service/daemon.hpp"
 #include "service/event_bus.hpp"
 #include "service/schedule_cache.hpp"
+#include "service/server.hpp"
 #include "util/rng.hpp"
 
 namespace streamsched {
@@ -439,6 +445,65 @@ TEST(PlacementDaemon, RecoveryRekeysCopyFree) {
   // Recovery re-keys without copying: the post-failure placement object
   // survives verbatim.
   EXPECT_EQ(after_recovery.placement.get(), after_fail.placement.get());
+}
+
+// The response facts (fp, stages, latency) are stored when a placement is
+// published: a hit's OK line is the cold line byte for byte apart from its
+// provenance, and an event-repaired entry reports the facts of its
+// repaired schedule, not those of the schedule it was admitted with.
+TEST(PlacementDaemon, PublishedFactsServeHitsAndFollowEventRepair) {
+  const auto fp_token = [](std::uint64_t fp) {
+    char buf[17];
+    std::snprintf(buf, sizeof buf, "%016" PRIx64, fp);
+    return std::string(" fp=") + buf + " ";
+  };
+  bool repaired = false;
+  for (std::uint64_t seed = 51; seed < 71 && !repaired; ++seed) {
+    EventBus bus;
+    PlacementDaemon daemon(small_platform(), DaemonConfig{}, &bus);
+    const PlacementResponse cold = daemon.admit(request_for(seed));
+    ASSERT_TRUE(cold.ok) << cold.error;
+    const PlacementResponse hit = daemon.admit(request_for(seed));
+    ASSERT_TRUE(hit.cache_hit);
+    std::string cold_line = net::format_admission(cold, "t1");
+    const std::string hit_line = net::format_admission(hit, "t1");
+    const std::size_t src = cold_line.find(" src=cold ");
+    ASSERT_NE(src, std::string::npos) << cold_line;
+    cold_line.replace(src, 10, " src=hit ");
+    EXPECT_EQ(hit_line, cold_line);
+    const Schedule& admitted = cold.placement->schedule;
+    EXPECT_NE(hit_line.find(fp_token(schedule_fingerprint(admitted))), std::string::npos);
+
+    // A repairable two-failure set the ε = 1 schedule does not survive yet.
+    const std::size_t m = daemon.platform().num_procs();
+    std::vector<ProcId> pair;
+    for (ProcId a = 0; a < m && pair.empty(); ++a) {
+      for (ProcId b = a + 1; b < m && pair.empty(); ++b) {
+        ProcSet set(m);
+        set.assign(std::vector<ProcId>{a, b});
+        std::vector<std::uint64_t> scratch;
+        if (!kills_a_task(admitted, a, b) && !cold.placement->oracle.survives(set, scratch)) {
+          pair = {a, b};
+        }
+      }
+    }
+    if (pair.empty()) continue;
+    bus.publish(ClusterEvent{ClusterEvent::Kind::kFailure, pair[0]});
+    bus.publish(ClusterEvent{ClusterEvent::Kind::kFailure, pair[1]});
+    const PlacementResponse after = daemon.admit(request_for(seed));
+    ASSERT_TRUE(after.ok) << after.error;
+    ASSERT_TRUE(after.cache_hit);
+    ASSERT_GT(after.placement->event_repair_comms, 0u);
+    const Schedule& patched = after.placement->schedule;
+    EXPECT_NE(schedule_fingerprint(patched), schedule_fingerprint(admitted));
+    EXPECT_EQ(after.placement->fingerprint, schedule_fingerprint(patched));
+    EXPECT_EQ(after.placement->stages, num_stages(patched));
+    EXPECT_EQ(after.placement->latency, latency_upper_bound(patched));
+    EXPECT_NE(net::format_admission(after, "").find(fp_token(schedule_fingerprint(patched))),
+              std::string::npos);
+    repaired = true;
+  }
+  EXPECT_TRUE(repaired) << "no seed needed an event repair";
 }
 
 TEST(PlacementDaemon, SubmitServesFromThePoolAndDrainsOnShutdown) {
