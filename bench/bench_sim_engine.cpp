@@ -1,24 +1,17 @@
 // Microbench of the compiled simulation engine (sim/program.hpp) against
 // the legacy per-call engine (`simulate_legacy`), across platform sizes
-// m ∈ {8, 16, 32, 64}:
-//
-//   - repeated crash trials: `--trials` fail-silent crash sets (uniform
-//     c-subsets, c = min(2, eps), so every repaired schedule survives and
-//     the full event simulation runs) are drawn once and replayed by both
-//     engines — legacy recompiles the schedule per trial, the compiled
-//     path pays `SimProgram` compilation once and replays an
-//     allocation-free `SimState` arena;
-//   - exact reliability: end-to-end `schedule_reliability` latency of the
-//     truncated exact enumeration at `exact_threads` 1 vs `--exact-threads`
-//     workers (reported for the m whose enumeration fits the budget).
+// m ∈ {8, 16, 32, 64}, on repeated crash trials: `--trials` fail-silent
+// crash sets (uniform c-subsets, c = min(2, eps), so every repaired
+// schedule survives and the full event simulation runs) are drawn once and
+// replayed by both engines — legacy recompiles the schedule per trial, the
+// compiled path pays `SimProgram` compilation once and replays an
+// allocation-free `SimState` arena.
 //
 // Both engines must agree bit-for-bit: every per-trial SimResult metric
-// (latencies, period, makespan, busy vectors) is compared, and the exact
-// reliabilities must be bit-identical across exact_threads ∈ {1, 2, 4}
-// and vs the serial kernel. Any mismatch aborts with exit code 1. The
-// compiled-vs-legacy trial speedup at m = 16 is additionally gated by
-// `--gate` (default 5x; 0 disables) — the acceptance threshold of the
-// compiled-engine PR.
+// (latencies, period, makespan, busy vectors) is compared. Any mismatch
+// aborts with exit code 1. The compiled-vs-legacy trial speedup at m = 16
+// is additionally gated by `--gate` (default 5x; 0 disables) — the
+// acceptance threshold of the compiled-engine PR.
 //
 // Results are printed and written to `--json` (default BENCH_sim.json) via
 // bench/emit_bench_json.hpp so CI can archive the perf trajectory next to
@@ -27,13 +20,11 @@
 // Flags: --trials N (crash trials per engine, default 200), --items N
 // (pipeline items per trial, default 40; the sweep's sim_items), --reps N
 // (timing repetitions, best-of; default 3), --seed S, --eps E (replication
-// degree, default 2), --exact-threads N (0 = hardware), --gate X,
-// --json PATH.
+// degree, default 2), --gate X, --json PATH.
 #include <chrono>
 #include <cmath>
 #include <iostream>
 #include <limits>
-#include <thread>
 #include <vector>
 
 #include "core/rltf.hpp"
@@ -42,7 +33,6 @@
 #include "exp/workload.hpp"
 #include "graph/generators.hpp"
 #include "platform/generators.hpp"
-#include "schedule/fault_tolerance.hpp"
 #include "sim/engine.hpp"
 #include "sim/program.hpp"
 #include "util/cli.hpp"
@@ -86,14 +76,9 @@ int main(int argc, char** argv) {
   const std::int64_t reps = cli.get_int("reps", 3, "STREAMSCHED_REPS");
   const auto seed = static_cast<std::uint64_t>(cli.get_int("seed", 42, "STREAMSCHED_SEED"));
   const auto eps = static_cast<CopyId>(cli.get_int("eps", 2, ""));
-  auto exact_threads =
-      static_cast<std::size_t>(cli.get_int("exact-threads", 0, "STREAMSCHED_EXACT_THREADS"));
   const double gate = cli.get_double("gate", 5.0, "");
   const std::string json_path = cli.get_string("json", "BENCH_sim.json", "");
   cli.finish();
-  if (exact_threads == 0) {
-    exact_threads = std::max<std::size_t>(1, std::thread::hardware_concurrency());
-  }
 
   bench::BenchJson doc("sim_engine");
   doc.meta()
@@ -102,7 +87,6 @@ int main(int argc, char** argv) {
       .add("reps", static_cast<std::int64_t>(reps))
       .add("seed", seed)
       .add("eps", static_cast<std::int64_t>(eps))
-      .add("exact_threads", static_cast<std::uint64_t>(exact_threads))
       .add("gate", gate);
 
   bool ok = true;
@@ -203,70 +187,6 @@ int main(int argc, char** argv) {
       std::cerr << "GATE m=16: compiled speedup " << speedup << "x below required " << gate
                 << "x\n";
       ok = false;
-    }
-
-    // --- exact reliability across exact_threads -------------------------
-    ReliabilityOptions exact1;
-    const ReliabilityEstimate probe = schedule_reliability(schedule, exact1);
-    if (!probe.exact) {
-      std::cout << "  exact  skipped (enumeration beyond budget)\n";
-      doc.add_result()
-          .add("m", static_cast<std::uint64_t>(m))
-          .add("mode", "exact")
-          .add("skipped", true)
-          .add("reason", "enumeration beyond max_sets budget");
-      continue;
-    }
-    // Below the estimator's 4096-set parallelization floor the
-    // exact_threads > 1 call runs the serial kernel — timing it as a
-    // "parallel" row would archive noise as scaling data.
-    const bool above_floor = probe.sets_checked >= 4096;
-    ReliabilityOptions exact_n = exact1;
-    exact_n.exact_threads = exact_threads;
-    const double t_serial =
-        best_seconds(reps, [&] { (void)schedule_reliability(schedule, exact1); });
-    const double t_parallel =
-        above_floor ? best_seconds(reps, [&] { (void)schedule_reliability(schedule, exact_n); })
-                    : t_serial;
-    bool exact_match = true;
-    for (const std::size_t threads : {std::size_t{1}, std::size_t{2}, std::size_t{4}}) {
-      ReliabilityOptions o = exact1;
-      o.exact_threads = threads;
-      const ReliabilityEstimate est = schedule_reliability(schedule, o);
-      if (est.reliability != probe.reliability || est.sets_checked != probe.sets_checked) {
-        std::cerr << "MISMATCH m=" << m << " exact_threads=" << threads << ": "
-                  << est.reliability << " vs serial " << probe.reliability << '\n';
-        exact_match = false;
-        ok = false;
-      }
-    }
-    std::cout << "  exact  k_max=" << probe.k_max << "  sets=" << probe.sets_checked
-              << "  1t=" << t_serial * 1e3 << "ms";
-    if (above_floor) {
-      std::cout << "  " << exact_threads << "t=" << t_parallel * 1e3 << "ms ("
-                << t_serial / t_parallel << "x)";
-    } else {
-      std::cout << "  (below parallelization floor)";
-    }
-    std::cout << "  identical=" << (exact_match ? "yes" : "NO") << '\n';
-    doc.add_result()
-        .add("m", static_cast<std::uint64_t>(m))
-        .add("mode", "exact")
-        .add("exact_threads", std::uint64_t{1})
-        .add("sets_checked", probe.sets_checked)
-        .add("seconds", t_serial)
-        .add("reliability", probe.reliability)
-        .add("match_across_threads", exact_match);
-    if (above_floor) {
-      doc.add_result()
-          .add("m", static_cast<std::uint64_t>(m))
-          .add("mode", "exact")
-          .add("exact_threads", static_cast<std::uint64_t>(exact_threads))
-          .add("sets_checked", probe.sets_checked)
-          .add("seconds", t_parallel)
-          .add("reliability", probe.reliability)
-          .add("speedup_vs_serial", t_serial / t_parallel)
-          .add("match_serial", exact_match);
     }
   }
 

@@ -1,39 +1,42 @@
-// Microbench of the survival kernels (schedule/survival.hpp) — the
-// bit-sliced batch kernel vs the per-set compiled oracle vs the legacy
-// vector<bool> walk — across platform sizes m ∈ {8, 16, 32, 64}:
+// Microbench of the library's survival kernel (schedule/survival.hpp,
+// the bit-sliced batch estimator of schedule/fault_tolerance.hpp) against
+// the reference serial estimator (reference/reliability.hpp) with its two
+// per-set predicates — the per-set compiled oracle ("oracle") and the
+// comm-record vector<bool> walk ("legacy") — across platform sizes
+// m ∈ {8, 16, 32, 64}:
 //
 //   - exact mode: end-to-end `schedule_reliability` latency and enumerated
 //     sets/sec under the default truncation budget (reported only for the
 //     m whose enumeration fits the budget — larger platforms fall to MC),
 //     legacy vs per-set oracle vs batch;
 //   - Monte-Carlo mode (enumeration budget forced to 0): the 20k-sample
-//     importance-sampled path, legacy and per-set oracle at one thread,
-//     batch at one thread and at `--threads` workers;
+//     importance-sampled path, legacy vs per-set oracle vs batch;
 //   - repair mode: end-to-end `repair_to_reliability` on an unrepaired
 //     schedule (exact estimates, truncation loosened so m = 32 stays
-//     enumerable), legacy vs per-set re-enumeration vs the batch kernel's
-//     incremental killing-set cache;
+//     enumerable): the reference loop, which re-estimates from scratch
+//     every round with either predicate, vs the library's incremental
+//     killing-set cache;
 //   - count-repair mode: end-to-end `repair_fault_tolerance` at m = 16,
 //     ε = 2 and 3, on 52- and 104-task DAGs at a calibrated period
 //     (rounds, added channels, time; no gate).
 //
-// All kernels must agree: exact reliabilities bit-identical, MC estimates
-// identical at a fixed seed, repair stats (rounds, added channels,
-// achieved reliability) identical. A mismatch aborts with exit code 1.
+// Library and reference must agree: exact reliabilities bit-identical, MC
+// estimates identical at a fixed seed, repair stats (rounds, added
+// channels, achieved reliability) identical. A mismatch aborts with exit
+// code 1.
 //
 // Results are printed and written to `--json` (default BENCH_survival.json)
 // via bench/emit_bench_json.hpp so CI can archive the perf trajectory.
 //
 // Flags: --mc-samples N (default 20000), --reps N (timing repetitions,
-// best-of; default 3), --seed S, --threads N (0 = hardware concurrency),
-// --eps E (replication degree of the benched schedules, default 2),
+// best-of; default 3), --seed S, --eps E (replication degree of the benched schedules, default 2),
 // --gate X (fail unless batch exact speedup over the per-set oracle at
 // m=16 is >= X; 0 disables), --json PATH.
 #include <chrono>
 #include <cmath>
 #include <iostream>
 #include <limits>
-#include <thread>
+#include <optional>
 
 #include "core/rltf.hpp"
 #include "emit_bench_json.hpp"
@@ -41,6 +44,7 @@
 #include "exp/workload.hpp"
 #include "graph/generators.hpp"
 #include "platform/generators.hpp"
+#include "reference/reliability.hpp"
 #include "schedule/fault_tolerance.hpp"
 #include "util/cli.hpp"
 #include "util/rng.hpp"
@@ -70,12 +74,10 @@ int main(int argc, char** argv) {
       static_cast<std::uint64_t>(cli.get_int("mc-samples", 20000, "STREAMSCHED_MC_SAMPLES"));
   const std::int64_t reps = cli.get_int("reps", 3, "STREAMSCHED_REPS");
   const auto seed = static_cast<std::uint64_t>(cli.get_int("seed", 42, "STREAMSCHED_SEED"));
-  auto threads = static_cast<std::size_t>(cli.get_int("threads", 0, "STREAMSCHED_THREADS"));
   const auto eps = static_cast<CopyId>(cli.get_int("eps", 2, ""));
   const double gate = cli.get_double("gate", 0.0, "");
   const std::string json_path = cli.get_string("json", "BENCH_survival.json", "");
   cli.finish();
-  if (threads == 0) threads = std::max<std::size_t>(1, std::thread::hardware_concurrency());
 
   bench::BenchJson doc("survival_kernel");
   doc.meta()
@@ -83,7 +85,6 @@ int main(int argc, char** argv) {
       .add("reps", static_cast<std::int64_t>(reps))
       .add("seed", seed)
       .add("eps", static_cast<std::int64_t>(eps))
-      .add("threads", static_cast<std::uint64_t>(threads))
       .add("gate", gate);
 
   bool ok = true;
@@ -105,23 +106,21 @@ int main(int argc, char** argv) {
     std::cout << "m=" << m << "  tasks=" << dag.num_tasks() << "  copies=" << schedule.copies()
               << "  comms=" << schedule.comms().size() << '\n';
 
-    ReliabilityOptions batch_opts;  // default kernel: kBatch
-    ReliabilityOptions oracle_opts;
-    oracle_opts.kernel = SurvivalKernel::kOracle;
-    ReliabilityOptions legacy_opts;
-    legacy_opts.kernel = SurvivalKernel::kLegacy;
+    constexpr auto kLegacy = reference::Predicate::kLegacy;
+    constexpr auto kOracle = reference::Predicate::kOracle;
+    const ReliabilityOptions opts;
 
     // --- exact mode (only when the default budget keeps it exact) -------
-    const ReliabilityEstimate probe = schedule_reliability(schedule, batch_opts);
+    const ReliabilityEstimate probe = schedule_reliability(schedule, opts);
     if (probe.exact) {
-      const double t_legacy =
-          best_seconds(reps, [&] { (void)schedule_reliability(schedule, legacy_opts); });
-      const double t_oracle =
-          best_seconds(reps, [&] { (void)schedule_reliability(schedule, oracle_opts); });
+      const double t_legacy = best_seconds(
+          reps, [&] { (void)reference::schedule_reliability(schedule, opts, kLegacy); });
+      const double t_oracle = best_seconds(
+          reps, [&] { (void)reference::schedule_reliability(schedule, opts, kOracle); });
       const double t_batch =
-          best_seconds(reps, [&] { (void)schedule_reliability(schedule, batch_opts); });
-      const ReliabilityEstimate legacy = schedule_reliability(schedule, legacy_opts);
-      const ReliabilityEstimate oracle = schedule_reliability(schedule, oracle_opts);
+          best_seconds(reps, [&] { (void)schedule_reliability(schedule, opts); });
+      const ReliabilityEstimate legacy = reference::schedule_reliability(schedule, opts, kLegacy);
+      const ReliabilityEstimate oracle = reference::schedule_reliability(schedule, opts, kOracle);
       const auto k_max = static_cast<std::uint64_t>(probe.k_max);
       if (legacy.reliability != probe.reliability ||
           legacy.sets_checked != probe.sets_checked ||
@@ -181,45 +180,32 @@ int main(int argc, char** argv) {
     }
 
     // --- Monte-Carlo mode (forced) --------------------------------------
-    ReliabilityOptions mc_batch = batch_opts;
-    mc_batch.max_sets = 0;
-    mc_batch.mc_samples = mc_samples;
-    ReliabilityOptions mc_oracle = mc_batch;
-    mc_oracle.kernel = SurvivalKernel::kOracle;
-    ReliabilityOptions mc_legacy = mc_batch;
-    mc_legacy.kernel = SurvivalKernel::kLegacy;
-    ReliabilityOptions mc_threaded = mc_batch;
-    mc_threaded.mc_threads = threads;
+    ReliabilityOptions mc_opts = opts;
+    mc_opts.max_sets = 0;
+    mc_opts.mc_samples = mc_samples;
 
-    const double t_mc_legacy =
-        best_seconds(reps, [&] { (void)schedule_reliability(schedule, mc_legacy); });
-    const double t_mc_oracle =
-        best_seconds(reps, [&] { (void)schedule_reliability(schedule, mc_oracle); });
+    const double t_mc_legacy = best_seconds(
+        reps, [&] { (void)reference::schedule_reliability(schedule, mc_opts, kLegacy); });
+    const double t_mc_oracle = best_seconds(
+        reps, [&] { (void)reference::schedule_reliability(schedule, mc_opts, kOracle); });
     const double t_mc_batch =
-        best_seconds(reps, [&] { (void)schedule_reliability(schedule, mc_batch); });
-    const double t_mc_threaded =
-        best_seconds(reps, [&] { (void)schedule_reliability(schedule, mc_threaded); });
-    const ReliabilityEstimate mc_l = schedule_reliability(schedule, mc_legacy);
-    const ReliabilityEstimate mc_o = schedule_reliability(schedule, mc_oracle);
-    const ReliabilityEstimate mc_b = schedule_reliability(schedule, mc_batch);
-    const ReliabilityEstimate mc_t = schedule_reliability(schedule, mc_threaded);
-    if (mc_l.reliability != mc_o.reliability || mc_o.reliability != mc_b.reliability ||
-        mc_b.reliability != mc_t.reliability) {
+        best_seconds(reps, [&] { (void)schedule_reliability(schedule, mc_opts); });
+    const ReliabilityEstimate mc_l = reference::schedule_reliability(schedule, mc_opts, kLegacy);
+    const ReliabilityEstimate mc_o = reference::schedule_reliability(schedule, mc_opts, kOracle);
+    const ReliabilityEstimate mc_b = schedule_reliability(schedule, mc_opts);
+    if (mc_l.reliability != mc_o.reliability || mc_o.reliability != mc_b.reliability) {
       std::cerr << "MISMATCH m=" << m << " mc: legacy=" << mc_l.reliability
-                << " oracle=" << mc_o.reliability << " batch=" << mc_b.reliability
-                << " threaded=" << mc_t.reliability << '\n';
+                << " oracle=" << mc_o.reliability << " batch=" << mc_b.reliability << '\n';
       ok = false;
     }
     std::cout << "  mc     samples=" << mc_samples << "  legacy=" << t_mc_legacy * 1e3
               << "ms  oracle=" << t_mc_oracle * 1e3 << "ms (" << t_mc_legacy / t_mc_oracle
               << "x)  batch=" << t_mc_batch * 1e3 << "ms (" << t_mc_legacy / t_mc_batch
-              << "x)  batch@" << threads << "t=" << t_mc_threaded * 1e3 << "ms ("
-              << t_mc_legacy / t_mc_threaded << "x)\n";
+              << "x)\n";
     doc.add_result()
         .add("m", static_cast<std::uint64_t>(m))
         .add("mode", "mc")
         .add("kernel", "legacy")
-        .add("mc_threads", std::uint64_t{1})
         .add("sets_checked", mc_l.sets_checked)
         .add("seconds", t_mc_legacy)
         .add("sets_per_sec", static_cast<double>(mc_l.sets_checked) / t_mc_legacy)
@@ -228,7 +214,6 @@ int main(int argc, char** argv) {
         .add("m", static_cast<std::uint64_t>(m))
         .add("mode", "mc")
         .add("kernel", "oracle")
-        .add("mc_threads", std::uint64_t{1})
         .add("sets_checked", mc_o.sets_checked)
         .add("seconds", t_mc_oracle)
         .add("sets_per_sec", static_cast<double>(mc_o.sets_checked) / t_mc_oracle)
@@ -239,7 +224,6 @@ int main(int argc, char** argv) {
         .add("m", static_cast<std::uint64_t>(m))
         .add("mode", "mc")
         .add("kernel", "batch")
-        .add("mc_threads", std::uint64_t{1})
         .add("sets_checked", mc_b.sets_checked)
         .add("seconds", t_mc_batch)
         .add("sets_per_sec", static_cast<double>(mc_b.sets_checked) / t_mc_batch)
@@ -247,17 +231,6 @@ int main(int argc, char** argv) {
         .add("speedup_vs_legacy", t_mc_legacy / t_mc_batch)
         .add("speedup_vs_oracle", t_mc_oracle / t_mc_batch)
         .add("match_legacy", mc_l.reliability == mc_b.reliability);
-    doc.add_result()
-        .add("m", static_cast<std::uint64_t>(m))
-        .add("mode", "mc")
-        .add("kernel", "batch")
-        .add("mc_threads", static_cast<std::uint64_t>(threads))
-        .add("sets_checked", mc_t.sets_checked)
-        .add("seconds", t_mc_threaded)
-        .add("sets_per_sec", static_cast<double>(mc_t.sets_checked) / t_mc_threaded)
-        .add("reliability", mc_t.reliability)
-        .add("speedup_vs_legacy", t_mc_legacy / t_mc_threaded)
-        .add("match_legacy", mc_l.reliability == mc_t.reliability);
   }
 
   // --- repair loop ------------------------------------------------------
@@ -265,9 +238,9 @@ int main(int argc, char** argv) {
   // killing-set verification loop actually wires channels over several
   // rounds. Failure probabilities and truncation are chosen so the exact
   // estimator stays enumerable at m = 32 (k_max ~ 5): this is the regime
-  // where the batch kernel's incremental cache replaces a full per-round
-  // re-enumeration. Every kernel must produce the same rounds, channels
-  // and achieved reliability.
+  // where the library's incremental cache replaces the reference loop's
+  // full per-round re-enumeration. All three must produce the same rounds,
+  // channels and achieved reliability.
   for (const std::size_t m : {16, 32}) {
     Rng rng(seed + 0xb5297a4d3ac2f1ULL * m);
     const Platform platform = make_reliability_heterogeneous(rng, m, 0.002, 0.008);
@@ -287,20 +260,20 @@ int main(int argc, char** argv) {
 
     struct KernelRun {
       const char* name;
-      SurvivalKernel kernel;
+      std::optional<reference::Predicate> predicate;  // empty: the library
       double seconds = 0.0;
       RepairStats stats;
       ReliabilityEstimate achieved;
     };
-    KernelRun runs[] = {{"legacy", SurvivalKernel::kLegacy, 0.0, {}, {}},
-                        {"oracle", SurvivalKernel::kOracle, 0.0, {}, {}},
-                        {"batch", SurvivalKernel::kBatch, 0.0, {}, {}}};
+    KernelRun runs[] = {{"legacy", reference::Predicate::kLegacy, 0.0, {}, {}},
+                        {"oracle", reference::Predicate::kOracle, 0.0, {}, {}},
+                        {"batch", std::nullopt, 0.0, {}, {}}};
     for (KernelRun& run : runs) {
-      ReliabilityOptions o = ropts;
-      o.kernel = run.kernel;
       run.seconds = best_seconds(reps, [&] {
         Schedule clone = *r.schedule;
-        run.stats = repair_to_reliability(clone, target, o, &run.achieved);
+        run.stats = run.predicate ? reference::repair_to_reliability(clone, target, ropts,
+                                                                     *run.predicate, &run.achieved)
+                                  : repair_to_reliability(clone, target, ropts, &run.achieved);
       });
     }
     const KernelRun& legacy = runs[0];
@@ -335,12 +308,10 @@ int main(int argc, char** argv) {
                       .add("seconds", run.seconds)
                       .add("match_legacy",
                            run.achieved.reliability == legacy.achieved.reliability);
-      if (run.kernel != SurvivalKernel::kLegacy) {
+      if (run.predicate != reference::Predicate::kLegacy) {
         row.add("speedup_vs_legacy", legacy.seconds / run.seconds);
       }
-      if (run.kernel == SurvivalKernel::kBatch) {
-        row.add("speedup_vs_oracle", runs[1].seconds / run.seconds);
-      }
+      if (!run.predicate) row.add("speedup_vs_oracle", runs[1].seconds / run.seconds);
     }
   }
 

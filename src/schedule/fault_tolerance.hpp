@@ -41,15 +41,6 @@ namespace streamsched {
 class SurvivalOracle;  // schedule/survival.hpp
 class ProcSet;
 
-/// Computability of every replica under the given failure set
-/// (failed[u] == true means processor u is down), indexed [task][copy].
-[[nodiscard]] std::vector<std::vector<bool>> computable_replicas(
-    const Schedule& schedule, const std::vector<bool>& failed);
-
-/// True when every task keeps at least one computable replica under F.
-[[nodiscard]] bool survives_failures(const Schedule& schedule,
-                                     const std::vector<bool>& failed);
-
 struct FtCheckResult {
   bool valid = true;
   /// A failure set that kills the schedule (empty when valid).
@@ -116,19 +107,6 @@ RepairStats repair_for_failure_set(Schedule& schedule, SurvivalOracle& oracle,
 // events; the schedule reliability is the probability that every task keeps
 // a computable replica.
 
-/// Which survival kernel drives the estimator. kBatch (the default)
-/// resolves failure sets 64 at a time through the bit-sliced
-/// `SurvivalOracle::survives_batch` pass; kOracle evaluates them one at a
-/// time on the same compiled oracle; kLegacy re-walks the comm records per
-/// set via `survives_failures`. All three are boolean-identical (pinned by
-/// the parity suite), so exact-mode reliabilities are bit-identical and
-/// Monte-Carlo estimates identical at a fixed seed; kOracle and kLegacy
-/// exist as the measured baselines for bench_survival_kernel and the
-/// parity tests. The oracle's replica masks are multi-word, so no entry
-/// point requires a legacy fallback for schedules with more than 64
-/// replicas per task anymore.
-enum class SurvivalKernel { kBatch, kOracle, kLegacy };
-
 struct ReliabilityOptions {
   /// Probability mass of unenumerated failure sets at which the exact
   /// enumeration truncates. Truncated mass counts as failure, so the exact
@@ -143,21 +121,8 @@ struct ReliabilityOptions {
   /// drawn with q_u = max(p_u, mc_proposal_floor) and reweighted, so rare
   /// failure events are actually observed.
   double mc_proposal_floor = 0.2;
+  /// Seed of the Monte-Carlo sampler's single sequential stream.
   std::uint64_t seed = 0x5eedULL;
-  SurvivalKernel kernel = SurvivalKernel::kBatch;
-  /// Worker threads for the Monte-Carlo survival evaluation (1 = inline,
-  /// 0 = hardware concurrency). The estimate is the same for every value:
-  /// all failure sets are pre-drawn from `seed`'s single sequential stream
-  /// (bit-identical to the legacy sampler), only the survival checks fan
-  /// out, and the reduction runs in sample order.
-  std::size_t mc_threads = 1;
-  /// Worker threads for the EXACT enumeration (1 = inline, 0 = hardware
-  /// concurrency; kBatch/kOracle only — kLegacy stays serial). The
-  /// enumeration is partitioned into contiguous lexicographic ranges whose
-  /// survival checks fan out; the weighted reduction then walks the sets
-  /// in enumeration order, so the reliability is bit-identical for every
-  /// thread count and to the serial kernel.
-  std::size_t exact_threads = 1;
 };
 
 struct ReliabilityEstimate {
@@ -177,14 +142,24 @@ struct ReliabilityEstimate {
 /// Estimates the schedule reliability under the platform's failure
 /// probabilities: exact (truncated) enumeration of failure sets in order
 /// of size while the enumeration budget lasts, importance-sampled
-/// Monte Carlo above it.
+/// Monte Carlo above it. Both modes take the same single path: the
+/// failure sets (enumerated, or drawn from `seed` in one sequential
+/// stream) are stored as bitset rows, resolved 64 at a time by
+/// `SurvivalOracle::survives_batch`, and reduced in enumeration or sample
+/// order. The plain per-set loop this must match bit for bit lives in the
+/// reference target (reference/reliability.hpp), next to the tests and
+/// benches that compare against it.
 [[nodiscard]] ReliabilityEstimate schedule_reliability(const Schedule& schedule,
                                                        const ReliabilityOptions& options = {});
 
 /// Adds supply channels until the schedule reliability reaches
 /// `target_reliability` (or no repairable killing set remains — e.g. when
 /// every replica of a task sits on the failed processors, no channel can
-/// help). `achieved` (optional) receives the final estimate.
+/// help). Each round estimates, then repairs the killing sets the estimate
+/// recorded: the first 64 distinct ones, in enumeration or sample order.
+/// In exact mode the enumeration is kept across rounds and only its killed
+/// rows are re-verified; Monte-Carlo mode re-estimates with a fresh seed
+/// every round. `achieved` (optional) receives the final estimate.
 RepairStats repair_to_reliability(Schedule& schedule, double target_reliability,
                                   const ReliabilityOptions& options = {},
                                   ReliabilityEstimate* achieved = nullptr);

@@ -282,9 +282,10 @@ CopyId achieved_tolerance(const SurvivalOracle& oracle, const ProcSet& failed, C
   const CopyId cap =
       std::min<CopyId>(want, static_cast<CopyId>(alive.empty() ? 0 : alive.size() - 1));
   for (CopyId k = 1; k <= cap; ++k) {
-    // Enumerate every size-k subset of the alive processors, packed into
-    // 64-row batches of (failed ∪ G) word rows.
-    std::vector<std::size_t> idx(k);
+    // Enumerate every size-k subset of the alive processors in
+    // lexicographic order of their indices, packed into 64-row batches of
+    // (failed ∪ G) word rows.
+    std::vector<ProcId> idx(k);
     for (CopyId i = 0; i < k; ++i) idx[i] = i;
     std::size_t batched = 0;
     const auto flush = [&]() -> bool {
@@ -295,10 +296,10 @@ CopyId achieved_tolerance(const SurvivalOracle& oracle, const ProcSet& failed, C
       return all;
     };
     bool all_survive = true;
-    for (;;) {
+    do {
       std::uint64_t* row = rows.data() + batched * num_words;
       std::copy(failed.words(), failed.words() + num_words, row);
-      for (std::size_t i : idx) {
+      for (const ProcId i : idx) {
         const auto u = static_cast<std::size_t>(alive[i]);
         row[u >> 6] |= 1ULL << (u & 63);
       }
@@ -306,18 +307,7 @@ CopyId achieved_tolerance(const SurvivalOracle& oracle, const ProcSet& failed, C
         all_survive = false;
         break;
       }
-      // Next combination (lexicographic over alive indices).
-      std::int64_t i = static_cast<std::int64_t>(k) - 1;
-      while (i >= 0 &&
-             idx[static_cast<std::size_t>(i)] == alive.size() - k + static_cast<std::size_t>(i)) {
-        --i;
-      }
-      if (i < 0) break;
-      ++idx[static_cast<std::size_t>(i)];
-      for (auto j = static_cast<std::size_t>(i) + 1; j < static_cast<std::size_t>(k); ++j) {
-        idx[j] = idx[j - 1] + 1;
-      }
-    }
+    } while (next_combination(idx, alive.size()) < k);
     if (all_survive) all_survive = flush();
     if (!all_survive) return k - 1;
   }

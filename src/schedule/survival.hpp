@@ -2,10 +2,8 @@
 //
 // `schedule_reliability()` and the repair passes evaluate the same question
 // — "does the schedule survive failure set F?" — for up to 2^18 enumerated
-// sets plus tens of thousands of Monte-Carlo samples per call. The legacy
-// kernel (`survives_failures` in fault_tolerance.hpp) re-allocates a
-// vector<vector<bool>> computability matrix and re-walks every CommRecord
-// per set. `SurvivalOracle` compiles the schedule ONCE into flat arrays —
+// sets plus tens of thousands of Monte-Carlo samples per call.
+// `SurvivalOracle` compiles the schedule ONCE into flat arrays —
 // per-replica processor ids, per-task placed-replica masks, and
 // per-(replica, predecessor) supplier-copy masks, each ceil(copies/64)
 // words wide so arbitrary replication degrees compile — after which one
@@ -23,21 +21,22 @@
 // alive, intersected per predecessor with the OR of its suppliers' lane
 // words (the supplier-copy masks broadcast across lanes). Each lane's
 // boolean equals the per-set oracle's (both are the same monotone
-// fixpoint), so batch consumers keep bit-identical reductions.
+// fixpoint), so batch consumers keep bit-identical reductions. The
+// library's reliability estimator runs on the batch pass alone.
 //
 // The oracle is a pure function of the schedule's placements and comms; it
 // must be re-created (or patched via `add_comm`) when the repair pass adds
-// supply channels. Its booleans are identical to the legacy kernel's —
-// pinned by the randomized parity suite in tests/test_survival.cpp — which
-// is what lets the exact reliability estimator keep bit-identical sums
-// while only swapping the survival check.
+// supply channels. Its booleans are pinned against the comm-record walk of
+// the reference target (reference/reliability.hpp) by the randomized
+// parity suite in tests/test_survival.cpp.
 //
 // `ProcSet` is the reusable dynamic bitset of failed processors shared by
 // the enumerator, the Monte-Carlo sampler, the fault-tolerance checkers
 // and the repair loops; `for_each_failure_set` enumerates fixed-size
-// failure sets in lexicographic order, toggling only the combination
-// suffix that changes between consecutive sets instead of refilling the
-// whole set O(m) per combination.
+// failure sets in lexicographic order (stepped by `next_combination`, the
+// one combination stepper every enumeration uses), toggling only the
+// combination suffix that changes between consecutive sets instead of
+// refilling the whole set O(m) per combination.
 #pragma once
 
 #include <bit>
@@ -130,8 +129,7 @@ class SurvivalOracle {
   [[nodiscard]] CopyId copies() const { return copies_; }
   /// Words per replica-mask row: ceil(copies/64). Rows of the
   /// `computable` output (and the internal placed/supplier masks) are this
-  /// wide, so replication degrees beyond 64 compile instead of falling
-  /// back to the legacy kernel.
+  /// wide, so arbitrary replication degrees compile.
   [[nodiscard]] std::size_t mask_words() const { return mask_words_; }
 
   /// Incorporates a supply comm added after compilation (the repair pass
@@ -169,7 +167,7 @@ class SurvivalOracle {
 
   /// Full computability masks under `failed`: row t (mask_words() words at
   /// alive[t * mask_words()]) has bit c set iff replica (t, c) is
-  /// computable — the bitmask equivalent of the legacy
+  /// computable — the bitmask equivalent of the reference
   /// `computable_replicas`. No early exit (dead tasks store 0).
   void computable(const ProcSet& failed, std::vector<std::uint64_t>& alive) const;
 
@@ -232,15 +230,33 @@ class SurvivalOracle {
 [[nodiscard]] CopyId achieved_tolerance(const SurvivalOracle& oracle, const ProcSet& failed,
                                         CopyId want, BatchScratch& scratch);
 
+/// Advances `subset`, a size-k combination of {0..m-1} held in increasing
+/// order, to its lexicographic successor in place. Returns the first
+/// position that changed, or k when `subset` was the last combination (it
+/// is then left as it was). The positions after the returned one held
+/// their largest values, m - k + j, before the step. Every enumeration of
+/// failure sets in the library steps with this function, so they all
+/// share one order.
+[[nodiscard]] inline std::size_t next_combination(std::vector<ProcId>& subset, std::size_t m) {
+  const std::size_t k = subset.size();
+  std::size_t i = k;
+  while (i > 0 && subset[i - 1] == static_cast<ProcId>(m - k + i - 1)) --i;
+  if (i == 0) return k;
+  --i;
+  ++subset[i];
+  for (std::size_t j = i + 1; j < k; ++j) subset[j] = subset[j - 1] + 1;
+  return i;
+}
+
 /// Calls visit(failed, subset) — or visit(failed, subset, changed), where
 /// `changed` is the first subset position that differs from the previous
 /// combination (0 on the first) so visitors can maintain prefix state
 /// incrementally — for every size-k subset of {0..m-1} in lexicographic
-/// order (identical to the legacy enumeration); stops early when visit
-/// returns false. Returns the number of subsets visited. `failed` must be
-/// sized to m; it is maintained incrementally — advancing to the next
-/// combination toggles only the suffix of positions that changed — and is
-/// left cleared when the enumeration runs to completion.
+/// order; stops early when visit returns false. Returns the number of
+/// subsets visited. `failed` must be sized to m; it is maintained
+/// incrementally — advancing to the next combination toggles only the
+/// suffix of positions that changed — and is left cleared when the
+/// enumeration runs to completion.
 template <typename Visit>
 std::uint64_t for_each_failure_set(std::size_t m, std::uint32_t k, ProcSet& failed,
                                    Visit&& visit) {
@@ -257,38 +273,25 @@ std::uint64_t for_each_failure_set(std::size_t m, std::uint32_t k, ProcSet& fail
       return visit(f, s);
     }
   };
-  std::uint64_t visited = 0;
-  if (k == 0) {
-    ++visited;
-    call(static_cast<const ProcSet&>(failed), subset, 0);
-    return visited;
-  }
   for (std::uint32_t i = 0; i < k; ++i) {
     subset[i] = i;
     failed.set(i);
   }
+  std::uint64_t visited = 0;
   std::size_t changed = 0;
   for (;;) {
     ++visited;
     if (!call(static_cast<const ProcSet&>(failed), subset, changed)) return visited;
-    // Rightmost position that can still advance.
-    std::int64_t i = static_cast<std::int64_t>(k) - 1;
-    while (i >= 0 && subset[static_cast<std::size_t>(i)] ==
-                         static_cast<ProcId>(m - k + static_cast<std::size_t>(i))) {
-      --i;
-    }
-    if (i < 0) {
+    changed = next_combination(subset, m);
+    if (changed == k) {
       for (ProcId p : subset) failed.reset(p);
       return visited;
     }
-    // Toggle only the changing suffix [i, k).
-    changed = static_cast<std::size_t>(i);
-    for (auto j = static_cast<std::size_t>(i); j < k; ++j) failed.reset(subset[j]);
-    ++subset[static_cast<std::size_t>(i)];
-    for (auto j = static_cast<std::size_t>(i) + 1; j < k; ++j) {
-      subset[j] = subset[j - 1] + 1;
-    }
-    for (auto j = static_cast<std::size_t>(i); j < k; ++j) failed.set(subset[j]);
+    // Toggle only the changing suffix [changed, k): its old members were
+    // subset[changed] - 1 and the largest values m - k + j after it.
+    failed.reset(subset[changed] - 1);
+    for (std::size_t j = changed + 1; j < k; ++j) failed.reset(m - k + j);
+    for (std::size_t j = changed; j < k; ++j) failed.set(subset[j]);
   }
 }
 

@@ -6,6 +6,7 @@
 #include "graph/generators.hpp"
 #include "helpers.hpp"
 #include "platform/generators.hpp"
+#include "reference/reliability.hpp"
 #include "schedule/fault_tolerance.hpp"
 #include "schedule/metrics.hpp"
 #include "util/rng.hpp"
@@ -13,6 +14,8 @@
 namespace streamsched {
 namespace {
 
+using reference::computable_replicas;
+using reference::survives_failures;
 using test::place_at;
 using test::wire;
 

@@ -6,15 +6,19 @@
 // first dead task, patch the oracle, repeat. Both must wire the same comms
 // in the same order and report the same RepairStats and reliability bits,
 // for the count repair at ε = 1, 2, 3, the one-failure-set repair, the
-// probabilistic repair on both exact kernels, and a 65-copy schedule on
-// the multi-word mask layout. The kernel-parity suites cannot catch a
-// change to the loop itself: every kernel shares it.
+// probabilistic repair of the library and of the reference loop
+// (reference/reliability.hpp) in exact mode, and a 65-copy schedule on the
+// multi-word mask layout. The estimator-parity suites cannot catch a change
+// to the loop itself: the library and the reference loop share it. In
+// Monte-Carlo mode, which has no one-task-per-step counterpart here, the
+// library must match the reference loop.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <bit>
 #include <cmath>
 #include <limits>
+#include <string>
 #include <vector>
 
 #include "core/rltf.hpp"
@@ -22,6 +26,7 @@
 #include "graph/generators.hpp"
 #include "helpers.hpp"
 #include "platform/generators.hpp"
+#include "reference/reliability.hpp"
 #include "schedule/fault_tolerance.hpp"
 #include "schedule/survival.hpp"
 #include "util/rng.hpp"
@@ -331,6 +336,18 @@ TEST(RepairParity, FailureSetRepairMatchesOneTaskPerStep) {
   EXPECT_GT(repaired, 0u);
 }
 
+void expect_same_estimate(const ReliabilityEstimate& lib, const ReliabilityEstimate& ref,
+                          const std::string& where) {
+  EXPECT_EQ(std::bit_cast<std::uint64_t>(lib.reliability),
+            std::bit_cast<std::uint64_t>(ref.reliability))
+      << where;
+  EXPECT_EQ(lib.worst_failure, ref.worst_failure) << where;
+  EXPECT_EQ(lib.sets_checked, ref.sets_checked) << where;
+}
+
+// Exact mode: the library's incremental loop and the reference loop (full
+// re-estimate every round, repair_for_failure_set per killing set) must
+// both match the one-task-per-step loop.
 TEST(RepairParity, ReliabilityRepairMatchesOneTaskPerStepOnBothExactKernels) {
   std::uint64_t repaired = 0;
   for (std::uint64_t seed = 0; seed < kSeeds; ++seed) {
@@ -338,30 +355,69 @@ TEST(RepairParity, ReliabilityRepairMatchesOneTaskPerStepOnBothExactKernels) {
     Platform platform;
     const FaultModel model = FaultModel::parse(seed % 2 == 0 ? "prob:R=0.99" : "prob:R=0.999");
     const Schedule proto = unrepaired(seed, 10, model, dag, platform);
-    for (const SurvivalKernel kernel : {SurvivalKernel::kBatch, SurvivalKernel::kOracle}) {
-      ReliabilityOptions options;
-      options.kernel = kernel;
-      Schedule lib = proto;
-      Schedule ref = proto;
-      ReliabilityEstimate lib_est;
-      ReliabilityEstimate ref_est;
-      const RepairStats a =
-          repair_to_reliability(lib, model.target_reliability(), options, &lib_est);
-      const RepairStats b =
-          reference_repair_prob(ref, model.target_reliability(), options, ref_est);
-      const std::string where = "seed " + std::to_string(seed) + " kernel " +
-                                (kernel == SurvivalKernel::kBatch ? "batch" : "oracle");
-      expect_same_stats(a, b, where);
-      expect_same_comms(lib, ref, where);
-      EXPECT_EQ(std::bit_cast<std::uint64_t>(lib_est.reliability),
-                std::bit_cast<std::uint64_t>(ref_est.reliability))
-          << where;
-      EXPECT_EQ(lib_est.worst_failure, ref_est.worst_failure) << where;
-      EXPECT_EQ(lib_est.sets_checked, ref_est.sets_checked) << where;
-      if (a.added_comms > 0) ++repaired;
-    }
+    const ReliabilityOptions options;
+    const double target = model.target_reliability();
+    Schedule step = proto;
+    ReliabilityEstimate step_est;
+    const RepairStats b = reference_repair_prob(step, target, options, step_est);
+
+    Schedule lib = proto;
+    ReliabilityEstimate lib_est;
+    const RepairStats a = repair_to_reliability(lib, target, options, &lib_est);
+    Schedule ref = proto;
+    ReliabilityEstimate ref_est;
+    const RepairStats r = reference::repair_to_reliability(
+        ref, target, options, reference::Predicate::kOracle, &ref_est);
+    const auto expect_matches_step = [&](const std::string& name, const RepairStats& got,
+                                         const Schedule& repaired_schedule,
+                                         const ReliabilityEstimate& est) {
+      const std::string where = "seed " + std::to_string(seed) + " " + name;
+      expect_same_stats(got, b, where);
+      expect_same_comms(repaired_schedule, step, where);
+      expect_same_estimate(est, step_est, where);
+    };
+    expect_matches_step("library", a, lib, lib_est);
+    expect_matches_step("reference", r, ref, ref_est);
+    if (a.added_comms > 0) ++repaired;
   }
   EXPECT_GT(repaired, 0u) << "the seeds must exercise repair";
+}
+
+// Monte-Carlo mode (max_sets = 0): every estimate draws from a fresh seed,
+// and the library must wire the same comms, report the same stats and
+// reach the same estimate bits as the reference loop. Even seeds test
+// survival with the comm-record walk, odd seeds with the per-set oracle.
+TEST(RepairParity, MonteCarloRepairMatchesReferenceLoop) {
+  std::uint64_t repaired = 0;
+  std::uint64_t multi_round = 0;
+  for (std::uint64_t seed = 0; seed < kSeeds; ++seed) {
+    Dag dag;
+    Platform platform;
+    const FaultModel model = FaultModel::parse(seed % 2 == 0 ? "prob:R=0.99" : "prob:R=0.999");
+    const Schedule proto = unrepaired(seed, 10, model, dag, platform);
+    ReliabilityOptions options;
+    options.max_sets = 0;
+    options.mc_samples = 400;
+    options.seed = 0x5eed + seed;
+    const double target = model.target_reliability();
+    Schedule lib = proto;
+    ReliabilityEstimate lib_est;
+    const RepairStats a = repair_to_reliability(lib, target, options, &lib_est);
+    Schedule ref = proto;
+    ReliabilityEstimate ref_est;
+    const RepairStats b = reference::repair_to_reliability(
+        ref, target, options,
+        seed % 2 == 0 ? reference::Predicate::kLegacy : reference::Predicate::kOracle, &ref_est);
+    const std::string where = "seed " + std::to_string(seed);
+    EXPECT_FALSE(lib_est.exact) << where;
+    expect_same_stats(a, b, where);
+    expect_same_comms(lib, ref, where);
+    expect_same_estimate(lib_est, ref_est, where);
+    if (a.added_comms > 0) ++repaired;
+    if (a.rounds > 1) ++multi_round;
+  }
+  EXPECT_GT(repaired, kSeeds / 2) << "the seeds must exercise repair";
+  EXPECT_GT(multi_round, 0u) << "some repairs must re-estimate with a fresh seed";
 }
 
 // 65 replicas per task: two mask words per row. Every copy of b and c

@@ -2,24 +2,25 @@
 // (schedule/survival.hpp): the oracle — per-set AND bit-sliced batch, in
 // full and ragged blocks, on single- and multi-word replica masks, before
 // and after repair patches — must agree boolean-for-boolean with the
-// legacy `survives_failures` / `computable_replicas` walk (all failure
+// reference `survives_failures` / `computable_replicas` walk (all failure
 // sets for small m, sampled sets for large m), the incremental enumerator
-// must reproduce the legacy lexicographic order, exact-mode reliabilities
-// must be bit-identical across all three kernels, Monte-Carlo estimates
-// identical to the legacy stream at one thread and across thread counts
-// 1/2/4, and the incremental repair cache equivalent to full per-round
-// re-verification.
+// must reproduce the lexicographic order, the library estimator must match
+// the reference serial estimator bit for bit in exact and Monte-Carlo mode
+// under both reference predicates, and the incremental repair cache must
+// match the reference loop's full per-round re-verification.
 #include <gtest/gtest.h>
 
 #include <atomic>
 #include <bit>
 #include <limits>
+#include <string>
 #include <vector>
 
 #include "core/rltf.hpp"
 #include "graph/generators.hpp"
 #include "helpers.hpp"
 #include "platform/generators.hpp"
+#include "reference/reliability.hpp"
 #include "schedule/fault_tolerance.hpp"
 #include "schedule/survival.hpp"
 #include "sim/engine.hpp"
@@ -48,7 +49,7 @@ Schedule random_schedule(std::uint64_t seed, std::size_t m, std::size_t tasks, C
 }
 
 // Compares the oracle (per-set, single-lane batch, and computability
-// masks) against the legacy kernel under one failure set.
+// masks) against the reference comm-record walk under one failure set.
 void expect_parity(const Schedule& schedule, SurvivalOracle& oracle,
                    const std::vector<ProcId>& set) {
   const std::size_t m = schedule.platform().num_procs();
@@ -57,12 +58,12 @@ void expect_parity(const Schedule& schedule, SurvivalOracle& oracle,
   ProcSet failed(m);
   failed.assign(set);
 
-  const bool legacy_survives = survives_failures(schedule, failed_legacy);
+  const bool legacy_survives = reference::survives_failures(schedule, failed_legacy);
   EXPECT_EQ(oracle.survives(failed), legacy_survives);
   BatchScratch batch;
   EXPECT_EQ(oracle.survives_batch(failed.words(), 1, batch), legacy_survives ? 1u : 0u);
 
-  const auto legacy = computable_replicas(schedule, failed_legacy);
+  const auto legacy = reference::computable_replicas(schedule, failed_legacy);
   std::vector<std::uint64_t> alive;
   oracle.computable(failed, alive);
   const std::size_t words = oracle.mask_words();
@@ -164,7 +165,7 @@ TEST(Survival, OracleMatchesLegacyOnRandomSchedulesAndAfterRepair) {
     for (const auto& set : subsets) expect_parity(schedule, oracle, set);
 
     // Repair rewires supply channels; the patched oracle (add_comm per new
-    // channel) must keep parity with the legacy kernel AND with an oracle
+    // channel) must keep parity with the reference walk AND with an oracle
     // recompiled from scratch.
     const std::size_t before = schedule.comms().size();
     (void)repair_to_reliability(schedule, 0.999);
@@ -260,60 +261,51 @@ TEST(Survival, BatchMatchesPerSetOnPatchedOracleAfterRepair) {
   }
 }
 
+// 65 replicas per task (two mask words per row) on 66 processors, copy c
+// of both tasks on processor c. Disjoint chains survive any failure short
+// of all 65 hosts; crossed ones feed every copy of b from copy 0 of a, so
+// losing processor 0 kills the schedule.
+Schedule wide_schedule(const Dag& dag, const Platform& platform, bool crossed = false) {
+  Schedule s(dag, platform, 64, kInf);
+  for (CopyId c = 0; c < 65; ++c) {
+    test::place_at(s, {0, c}, c, 0.0);
+    test::place_at(s, {1, c}, c, 2.0, 2);
+    test::wire(s, 0, crossed ? 0 : c, 1, c);
+  }
+  return s;
+}
+
+void expect_same_estimate(const ReliabilityEstimate& lib, const ReliabilityEstimate& ref,
+                          const std::string& where) {
+  EXPECT_EQ(lib.exact, ref.exact) << where;
+  EXPECT_EQ(std::bit_cast<std::uint64_t>(lib.reliability),
+            std::bit_cast<std::uint64_t>(ref.reliability))
+      << where;
+  EXPECT_EQ(lib.sets_checked, ref.sets_checked) << where;
+  EXPECT_EQ(lib.k_max, ref.k_max) << where;
+  EXPECT_EQ(lib.worst_failure, ref.worst_failure) << where;
+  EXPECT_EQ(std::bit_cast<std::uint64_t>(lib.worst_failure_prob),
+            std::bit_cast<std::uint64_t>(ref.worst_failure_prob))
+      << where;
+}
+
 TEST(Survival, ExactReliabilityBitIdenticalAcrossKernels) {
   for (std::uint64_t seed : {3u, 5u, 8u}) {
     Dag dag;
     Platform platform;
     const Schedule schedule = random_schedule(seed, 6, 14, 2, dag, platform);
-    ReliabilityOptions batch_opts;  // defaults: kBatch, exact for m = 6
-    ReliabilityOptions oracle_opts;
-    oracle_opts.kernel = SurvivalKernel::kOracle;
-    ReliabilityOptions legacy_opts;
-    legacy_opts.kernel = SurvivalKernel::kLegacy;
-    const ReliabilityEstimate a = schedule_reliability(schedule, batch_opts);
-    const ReliabilityEstimate o = schedule_reliability(schedule, oracle_opts);
-    const ReliabilityEstimate b = schedule_reliability(schedule, legacy_opts);
-    ASSERT_TRUE(a.exact);
-    ASSERT_TRUE(o.exact);
-    ASSERT_TRUE(b.exact);
-    EXPECT_EQ(a.reliability, b.reliability);  // bit-identical, not just near
-    EXPECT_EQ(a.sets_checked, b.sets_checked);
-    EXPECT_EQ(a.worst_failure, b.worst_failure);
-    EXPECT_EQ(a.worst_failure_prob, b.worst_failure_prob);
-    EXPECT_EQ(o.reliability, b.reliability);
-    EXPECT_EQ(o.sets_checked, b.sets_checked);
-    EXPECT_EQ(o.worst_failure, b.worst_failure);
-    EXPECT_EQ(o.worst_failure_prob, b.worst_failure_prob);
-  }
-}
-
-TEST(Survival, ExactReliabilityDeterministicAcrossThreadCounts) {
-  // Large enough that the parallel exact path engages (the size floor is
-  // 4096 enumerated sets): the partitioned survival fan-out plus ordered
-  // reduction must be bit-identical for every exact_threads value AND to
-  // the serial kernels (oracle and legacy walk the same arithmetic).
-  Dag dag;
-  Platform platform;
-  const Schedule schedule = random_schedule(23, 16, 30, 2, dag, platform);
-  ReliabilityOptions serial;  // exact_threads = 1
-  const ReliabilityEstimate reference = schedule_reliability(schedule, serial);
-  ASSERT_TRUE(reference.exact);
-  ASSERT_GT(reference.sets_checked, 4096u) << "scenario too small to engage the fan-out";
-  ReliabilityOptions legacy;
-  legacy.kernel = SurvivalKernel::kLegacy;
-  const ReliabilityEstimate legacy_est = schedule_reliability(schedule, legacy);
-  EXPECT_EQ(reference.reliability, legacy_est.reliability);
-  for (const std::size_t threads : {2u, 4u}) {
-    ReliabilityOptions options;
-    options.exact_threads = threads;
-    const ReliabilityEstimate est = schedule_reliability(schedule, options);
-    ASSERT_TRUE(est.exact);
-    EXPECT_EQ(est.reliability, reference.reliability) << "threads=" << threads;
-    EXPECT_EQ(est.sets_checked, reference.sets_checked) << "threads=" << threads;
-    EXPECT_EQ(est.k_max, reference.k_max) << "threads=" << threads;
-    EXPECT_EQ(est.worst_failure, reference.worst_failure) << "threads=" << threads;
-    EXPECT_EQ(est.worst_failure_prob, reference.worst_failure_prob)
-        << "threads=" << threads;
+    const ReliabilityOptions options;  // exact for m = 6
+    const ReliabilityEstimate lib = schedule_reliability(schedule, options);
+    const ReliabilityEstimate legacy =
+        reference::schedule_reliability(schedule, options, reference::Predicate::kLegacy);
+    const ReliabilityEstimate per_set =
+        reference::schedule_reliability(schedule, options, reference::Predicate::kOracle);
+    ASSERT_TRUE(lib.exact);
+    ASSERT_TRUE(legacy.exact);
+    ASSERT_TRUE(per_set.exact);
+    const std::string where = "seed " + std::to_string(seed);
+    expect_same_estimate(lib, legacy, where + " legacy");
+    expect_same_estimate(lib, per_set, where + " oracle");
   }
 }
 
@@ -321,86 +313,112 @@ TEST(Survival, MonteCarloIdenticalToLegacyAtOneThread) {
   Dag dag;
   Platform platform;
   const Schedule schedule = random_schedule(13, 10, 24, 1, dag, platform);
-  ReliabilityOptions base;
-  base.max_sets = 0;  // force the Monte-Carlo path
-  base.mc_samples = 3000;
-  ReliabilityOptions per_set = base;
-  per_set.kernel = SurvivalKernel::kOracle;
-  ReliabilityOptions legacy = base;
-  legacy.kernel = SurvivalKernel::kLegacy;
-  const ReliabilityEstimate a = schedule_reliability(schedule, base);
-  const ReliabilityEstimate o = schedule_reliability(schedule, per_set);
-  const ReliabilityEstimate b = schedule_reliability(schedule, legacy);
-  ASSERT_FALSE(a.exact);
-  ASSERT_FALSE(o.exact);
-  ASSERT_FALSE(b.exact);
-  EXPECT_EQ(a.reliability, b.reliability);  // same stream, same reduction order
-  EXPECT_EQ(a.sets_checked, b.sets_checked);
-  EXPECT_EQ(a.worst_failure, b.worst_failure);
-  EXPECT_EQ(a.worst_failure_prob, b.worst_failure_prob);
-  EXPECT_EQ(o.reliability, b.reliability);
-  EXPECT_EQ(o.worst_failure, b.worst_failure);
+  ReliabilityOptions options;
+  options.max_sets = 0;  // force the Monte-Carlo path
+  options.mc_samples = 3000;
+  const ReliabilityEstimate lib = schedule_reliability(schedule, options);
+  const ReliabilityEstimate legacy =
+      reference::schedule_reliability(schedule, options, reference::Predicate::kLegacy);
+  const ReliabilityEstimate per_set =
+      reference::schedule_reliability(schedule, options, reference::Predicate::kOracle);
+  ASSERT_FALSE(lib.exact);
+  ASSERT_FALSE(legacy.exact);
+  ASSERT_FALSE(per_set.exact);
+  expect_same_estimate(lib, legacy, "legacy");  // same stream, same reduction order
+  expect_same_estimate(lib, per_set, "oracle");
 }
 
-TEST(Survival, MonteCarloDeterministicAcrossThreadCounts) {
-  Dag dag;
-  Platform platform;
-  const Schedule schedule = random_schedule(17, 10, 24, 1, dag, platform);
-  ReliabilityOptions base;
-  base.max_sets = 0;
-  base.mc_samples = 4000;
-  ReliabilityEstimate reference;
-  for (const std::size_t threads : {1u, 2u, 4u}) {
-    ReliabilityOptions options = base;
-    options.mc_threads = threads;
-    const ReliabilityEstimate est = schedule_reliability(schedule, options);
-    if (threads == 1) {
-      reference = est;
-      continue;
-    }
-    EXPECT_EQ(est.reliability, reference.reliability) << "threads=" << threads;
-    EXPECT_EQ(est.sets_checked, reference.sets_checked) << "threads=" << threads;
-    EXPECT_EQ(est.worst_failure, reference.worst_failure) << "threads=" << threads;
-    EXPECT_EQ(est.worst_failure_prob, reference.worst_failure_prob) << "threads=" << threads;
+// The library estimator (materialized rows, 64 per bit-sliced pass) must
+// reproduce the reference serial loop bit for bit, in exact and in
+// Monte-Carlo mode and under both reference predicates, over 120 seeded
+// schedules of varying size, replication degree and failure probabilities
+// (every seventh with a never-failing processor, whose sets carry zero
+// weight), plus a crossed 65-copy schedule on the multi-word mask layout.
+TEST(Survival, EstimatorMatchesReferenceOverSeeds) {
+  const auto check = [](const Schedule& schedule, const ReliabilityOptions& options,
+                        const std::string& where) {
+    const ReliabilityEstimate lib = schedule_reliability(schedule, options);
+    expect_same_estimate(
+        lib, reference::schedule_reliability(schedule, options, reference::Predicate::kLegacy),
+        where + " legacy");
+    expect_same_estimate(
+        lib, reference::schedule_reliability(schedule, options, reference::Predicate::kOracle),
+        where + " oracle");
+    return lib;
+  };
+  std::uint64_t killed_exact = 0;
+  std::uint64_t killed_mc = 0;
+  for (std::uint64_t seed = 0; seed < 120; ++seed) {
+    Dag dag;
+    Platform platform;
+    const std::size_t m = 6 + seed % 5;
+    const Schedule schedule =
+        random_schedule(seed, m, 10 + seed % 8, seed % 2 == 0 ? 1 : 2, dag, platform, 0.03,
+                        0.25);
+    if (seed % 7 == 0) platform.set_failure_prob(0, 0.0);
+    const std::string where = "seed " + std::to_string(seed);
+
+    const ReliabilityEstimate exact = check(schedule, ReliabilityOptions{}, where + " exact");
+    EXPECT_TRUE(exact.exact) << where;
+    if (!exact.worst_failure.empty()) ++killed_exact;
+
+    ReliabilityOptions mc;
+    mc.max_sets = 0;  // force the Monte-Carlo path
+    mc.mc_samples = 300;
+    mc.seed = 0x5eed + seed;
+    const ReliabilityEstimate sampled = check(schedule, mc, where + " mc");
+    EXPECT_FALSE(sampled.exact) << where;
+    if (!sampled.worst_failure.empty()) ++killed_mc;
   }
+  // Most seeds must kill some sets, or the killing-set fields go unchecked.
+  EXPECT_GT(killed_exact, 60u);
+  EXPECT_GT(killed_mc, 60u);
+
+  Dag dag;
+  dag.add_task("a", 1.0);
+  dag.add_task("b", 1.0);
+  dag.add_edge(0, 1, 1.0);
+  Platform platform = Platform::uniform(66, 1.0, 0.5);
+  for (ProcId u = 0; u < 66; ++u) platform.set_failure_prob(u, 0.01);
+  const Schedule wide = wide_schedule(dag, platform, /*crossed=*/true);
+  ReliabilityOptions exact;
+  exact.tail_tolerance = 1e-2;  // loose enough to fit the set budget at m = 66
+  const ReliabilityEstimate wide_exact = check(wide, exact, "wide exact");
+  EXPECT_TRUE(wide_exact.exact);
+  EXPECT_EQ(wide_exact.worst_failure, std::vector<ProcId>{0});
+  ReliabilityOptions mc;
+  mc.max_sets = 0;
+  mc.mc_samples = 200;
+  const ReliabilityEstimate wide_mc = check(wide, mc, "wide mc");
+  EXPECT_FALSE(wide_mc.exact);
+  EXPECT_FALSE(wide_mc.worst_failure.empty());
 }
 
 TEST(Survival, RepairToReliabilityParityAcrossKernels) {
   for (std::uint64_t seed : {4u, 9u}) {
     Dag dag;
     Platform platform;
-    Schedule with_batch = random_schedule(seed, 6, 14, 1, dag, platform);
-    Schedule with_oracle = with_batch;
-    Schedule with_legacy = with_batch;
-    ReliabilityOptions batch_opts;  // kBatch: incremental killing-set cache
-    ReliabilityOptions oracle_opts;  // kOracle: full re-enumeration per round
-    oracle_opts.kernel = SurvivalKernel::kOracle;
-    ReliabilityOptions legacy_opts;
-    legacy_opts.kernel = SurvivalKernel::kLegacy;
-    ReliabilityEstimate achieved_batch;
-    ReliabilityEstimate achieved_oracle;
-    ReliabilityEstimate achieved_legacy;
-    const RepairStats a =
-        repair_to_reliability(with_batch, 0.995, batch_opts, &achieved_batch);
-    const RepairStats o =
-        repair_to_reliability(with_oracle, 0.995, oracle_opts, &achieved_oracle);
-    const RepairStats b =
-        repair_to_reliability(with_legacy, 0.995, legacy_opts, &achieved_legacy);
-    EXPECT_EQ(a.success, b.success);
-    EXPECT_EQ(a.added_comms, b.added_comms);
-    EXPECT_EQ(a.rounds, b.rounds);
-    EXPECT_EQ(achieved_batch.reliability, achieved_legacy.reliability);
-    EXPECT_EQ(with_batch.comms().size(), with_legacy.comms().size());
-    EXPECT_EQ(o.success, b.success);
-    EXPECT_EQ(o.added_comms, b.added_comms);
-    EXPECT_EQ(o.rounds, b.rounds);
-    EXPECT_EQ(achieved_oracle.reliability, achieved_legacy.reliability);
-    EXPECT_EQ(with_oracle.comms().size(), with_legacy.comms().size());
+    const Schedule proto = random_schedule(seed, 6, 14, 1, dag, platform);
+    Schedule lib = proto;
+    ReliabilityEstimate achieved_lib;
+    const RepairStats a = repair_to_reliability(lib, 0.995, {}, &achieved_lib);
+    for (const reference::Predicate predicate :
+         {reference::Predicate::kLegacy, reference::Predicate::kOracle}) {
+      Schedule ref = proto;
+      ReliabilityEstimate achieved_ref;
+      const RepairStats b = reference::repair_to_reliability(ref, 0.995, {}, predicate,
+                                                             &achieved_ref);
+      EXPECT_EQ(a.success, b.success);
+      EXPECT_EQ(a.added_comms, b.added_comms);
+      EXPECT_EQ(a.rounds, b.rounds);
+      EXPECT_EQ(achieved_lib.reliability, achieved_ref.reliability);
+      EXPECT_EQ(lib.comms().size(), ref.comms().size());
+    }
   }
 }
 
-// The incremental killing-set cache (kBatch exact repair) must reproduce
-// the full per-round re-verification exactly on a schedule that is
+// The incremental killing-set cache (exact-mode repair) must reproduce
+// the reference loop's full per-round re-verification exactly on a schedule that is
 // guaranteed to need repair: both copies of task b feed from a's copy on
 // P0, so killing sets exist, channels get wired, and later rounds
 // re-verify cached killed sets against the patched channels.
@@ -416,15 +434,13 @@ TEST(Survival, IncrementalRepairMatchesFullReverification) {
   test::wire(proto, 0, 0, 1, 0);
   test::wire(proto, 0, 0, 1, 1);
 
-  Schedule incremental = proto;
-  Schedule full = proto;
-  ReliabilityOptions batch_opts;  // kBatch: cached rows, killed-only re-verify
-  ReliabilityOptions oracle_opts;  // kOracle: from-scratch enumeration per round
-  oracle_opts.kernel = SurvivalKernel::kOracle;
+  Schedule incremental = proto;  // library: cached rows, killed-only re-verify
+  Schedule full = proto;         // reference: from-scratch enumeration per round
   ReliabilityEstimate achieved_inc;
   ReliabilityEstimate achieved_full;
-  const RepairStats a = repair_to_reliability(incremental, 0.8, batch_opts, &achieved_inc);
-  const RepairStats b = repair_to_reliability(full, 0.8, oracle_opts, &achieved_full);
+  const RepairStats a = repair_to_reliability(incremental, 0.8, {}, &achieved_inc);
+  const RepairStats b = reference::repair_to_reliability(
+      full, 0.8, {}, reference::Predicate::kOracle, &achieved_full);
   EXPECT_GT(a.added_comms, 0u) << "scenario must actually exercise repair";
   EXPECT_EQ(a.success, b.success);
   EXPECT_EQ(a.added_comms, b.added_comms);
@@ -472,15 +488,13 @@ TEST(Survival, IncrementalRepairMatchesFullReverificationAtAdmissionScale) {
     }
     ASSERT_GT(killing, 64u) << "seed " << seed;
 
-    Schedule incremental = *r.schedule;
-    Schedule full = *r.schedule;
-    ReliabilityOptions batch_opts;   // kBatch: cached rows, open-row re-verify
-    ReliabilityOptions oracle_opts;  // kOracle: from-scratch enumeration per round
-    oracle_opts.kernel = SurvivalKernel::kOracle;
+    Schedule incremental = *r.schedule;  // library: cached rows, open-row re-verify
+    Schedule full = *r.schedule;         // reference: from-scratch enumeration per round
     ReliabilityEstimate achieved_inc;
     ReliabilityEstimate achieved_full;
-    const RepairStats a = repair_to_reliability(incremental, 0.99, batch_opts, &achieved_inc);
-    const RepairStats b = repair_to_reliability(full, 0.99, oracle_opts, &achieved_full);
+    const RepairStats a = repair_to_reliability(incremental, 0.99, {}, &achieved_inc);
+    const RepairStats b = reference::repair_to_reliability(
+        full, 0.99, {}, reference::Predicate::kOracle, &achieved_full);
     EXPECT_GE(a.rounds, 1u) << "scenario must re-verify cached rows";
     EXPECT_EQ(a.success, b.success) << "seed " << seed;
     EXPECT_EQ(a.added_comms, b.added_comms) << "seed " << seed;
@@ -509,9 +523,8 @@ TEST(Survival, IncrementalRepairMatchesFullReverificationAtAdmissionScale) {
 }
 
 // Replication degrees beyond one 64-bit mask word run natively on the
-// multi-word oracle (no legacy fallback required anymore): checkers,
-// batch queries, exact reliability and repair all work and stay
-// kernel-identical.
+// multi-word oracle: checkers, batch queries, exact reliability and repair
+// all work and match the reference.
 TEST(Survival, MultiWordMasksAboveSixtyFourCopies) {
   const std::size_t m = 66;
   Dag dag;
@@ -520,13 +533,8 @@ TEST(Survival, MultiWordMasksAboveSixtyFourCopies) {
   dag.add_edge(0, 1, 1.0);
   Platform platform = Platform::uniform(m, 1.0, 0.5);
   for (ProcId u = 0; u < m; ++u) platform.set_failure_prob(u, 0.01);
-  Schedule s(dag, platform, 64, kInf);  // 65 replicas per task
+  Schedule s = wide_schedule(dag, platform);  // 65 replicas per task
   ASSERT_EQ(s.copies(), 65u);
-  for (CopyId c = 0; c < 65; ++c) {
-    test::place_at(s, {0, c}, c, 0.0);
-    test::place_at(s, {1, c}, c, 2.0, 2);
-    test::wire(s, 0, c, 1, c);  // colocated disjoint chains
-  }
 
   SurvivalOracle oracle(s);
   EXPECT_EQ(oracle.mask_words(), 2u);
@@ -536,7 +544,7 @@ TEST(Survival, MultiWordMasksAboveSixtyFourCopies) {
   Rng rng(3);
   EXPECT_TRUE(check_fault_tolerance_sampled(s, 2, 32, rng).valid);
 
-  // Per-set vs single-lane batch vs legacy over sampled failure sets.
+  // Per-set vs single-lane batch vs the reference walk over sampled sets.
   Rng sample_rng(17);
   for (int trial = 0; trial < 60; ++trial) {
     const auto k = static_cast<std::uint32_t>(sample_rng.uniform_int(0, 4));
@@ -545,20 +553,14 @@ TEST(Survival, MultiWordMasksAboveSixtyFourCopies) {
   }
 
   // Exact reliability (truncation loose enough to fit the set budget at
-  // m = 66) must be bit-identical across all three kernels.
+  // m = 66) must be bit-identical to the reference.
   ReliabilityOptions exact_opts;
   exact_opts.tail_tolerance = 1e-2;
-  ReliabilityOptions exact_oracle = exact_opts;
-  exact_oracle.kernel = SurvivalKernel::kOracle;
-  ReliabilityOptions exact_legacy = exact_opts;
-  exact_legacy.kernel = SurvivalKernel::kLegacy;
   const ReliabilityEstimate ea = schedule_reliability(s, exact_opts);
-  const ReliabilityEstimate eo = schedule_reliability(s, exact_oracle);
-  const ReliabilityEstimate el = schedule_reliability(s, exact_legacy);
   ASSERT_TRUE(ea.exact) << "truncated enumeration must fit the default budget";
-  EXPECT_EQ(ea.reliability, el.reliability);
-  EXPECT_EQ(ea.sets_checked, el.sets_checked);
-  EXPECT_EQ(eo.reliability, el.reliability);
+  expect_same_estimate(
+      ea, reference::schedule_reliability(s, exact_opts, reference::Predicate::kLegacy),
+      "wide exact");
 
   EXPECT_EQ(repair_fault_tolerance(s, 1).success, true);
   ReliabilityOptions options;
@@ -611,9 +613,9 @@ TEST(Survival, SimulationPrecheckMatchesFullSimulation) {
 }
 
 TEST(Survival, SharedGlobalPoolPinsBitIdenticalEstimates) {
-  // Every parallel consumer (exact enumeration, MC estimation, the sweep,
-  // the placement daemon) now shares ONE lazily-built process pool instead
-  // of spinning a transient pool per call.
+  // Every parallel consumer (the sweep, the placement daemon) shares ONE
+  // lazily-built process pool instead of spinning a transient pool per
+  // call.
   ThreadPool& pool = global_thread_pool();
   EXPECT_EQ(&pool, &global_thread_pool());
   EXPECT_GT(pool.size(), 0u);
@@ -626,32 +628,6 @@ TEST(Survival, SharedGlobalPoolPinsBitIdenticalEstimates) {
     global_thread_pool().parallel_for(8, [&](std::size_t) { ++covered; });
   });
   EXPECT_EQ(covered.load(), 32);
-
-  // Routing the exact and Monte-Carlo fan-outs through the shared pool
-  // must keep estimates bit-identical to the serial kernels (fixed result
-  // slots, ordered reductions — same guarantee the per-call pools gave).
-  Dag dag;
-  Platform platform;
-  const Schedule schedule = random_schedule(29, 12, 22, 2, dag, platform);
-  ReliabilityOptions serial;
-  const ReliabilityEstimate exact_ref = schedule_reliability(schedule, serial);
-  ReliabilityOptions exact_par;
-  exact_par.exact_threads = 0;  // hardware concurrency via the shared pool
-  const ReliabilityEstimate exact_est = schedule_reliability(schedule, exact_par);
-  EXPECT_EQ(exact_est.reliability, exact_ref.reliability);
-  EXPECT_EQ(exact_est.sets_checked, exact_ref.sets_checked);
-  EXPECT_EQ(exact_est.worst_failure, exact_ref.worst_failure);
-
-  ReliabilityOptions mc_serial;
-  mc_serial.max_sets = 0;
-  mc_serial.mc_samples = 2000;
-  const ReliabilityEstimate mc_ref = schedule_reliability(schedule, mc_serial);
-  ReliabilityOptions mc_par = mc_serial;
-  mc_par.mc_threads = 0;
-  const ReliabilityEstimate mc_est = schedule_reliability(schedule, mc_par);
-  EXPECT_EQ(mc_est.reliability, mc_ref.reliability);
-  EXPECT_EQ(mc_est.sets_checked, mc_ref.sets_checked);
-  EXPECT_EQ(mc_est.worst_failure, mc_ref.worst_failure);
 }
 
 }  // namespace
