@@ -23,8 +23,8 @@ double BuildState::arrival_estimate(ReplicaRef src, EdgeId edge, ProcId dst) con
 
 BuildState::Candidate BuildState::evaluate(
     TaskId task, ProcId u, const std::vector<std::vector<ReplicaRef>>& suppliers) const {
-  const auto preds = dag_->predecessors(task);
-  SS_REQUIRE(suppliers.size() == preds.size(),
+  const auto in = dag_->in_edges(task);
+  SS_REQUIRE(suppliers.size() == in.size(),
              "need one supplier set per predecessor, in predecessor order");
 
   Candidate cand;
@@ -36,91 +36,72 @@ BuildState::Candidate BuildState::evaluate(
   // Compute-load part of condition (1).
   bool loads_ok = schedule_.sigma(u) + exec <= period;
 
-  // Plan every supplier communication under greedy FCFS port reservation,
-  // using scratch copies of the cursors (commit re-runs this plan).
-  struct Planned {
-    std::size_t pred_index;
-    SupplierUse use;
-    std::uint32_t src_stage;
-  };
-  std::vector<Planned> planned;
-  double recv_cursor = recv_free_[u];
-  std::vector<double> send_cursor = send_free_;  // m is small; copying is fine
-  double added_cin = 0.0;
-  std::vector<double> added_cout(platform_->num_procs(), 0.0);
-
   // Reserve ports in increasing source-finish order (FCFS by data-ready
-  // time), deterministic tie-break by replica identity.
-  std::vector<std::pair<std::size_t, ReplicaRef>> order;
-  for (std::size_t i = 0; i < preds.size(); ++i) {
+  // time), deterministic tie-break by replica identity. Each supplier's
+  // placement is looked up once, into its sort key.
+  order_.clear();
+  for (std::size_t i = 0; i < in.size(); ++i) {
     SS_REQUIRE(!suppliers[i].empty(), "empty supplier set for a predecessor");
+    const TaskId pred = dag_->edge(in[i]).src;
     for (ReplicaRef src : suppliers[i]) {
-      SS_REQUIRE(src.task == preds[i], "supplier does not belong to the right predecessor");
-      order.emplace_back(i, src);
+      SS_REQUIRE(src.task == pred, "supplier does not belong to the right predecessor");
+      const PlacedReplica& sp = schedule_.placed(src);
+      order_.push_back(SupplierKey{sp.finish, src, static_cast<std::uint32_t>(i), sp.proc,
+                                   sp.stage});
     }
   }
-  std::sort(order.begin(), order.end(),
-            [&](const auto& a, const auto& b) {
-              const double fa = schedule_.placed(a.second).finish;
-              const double fb = schedule_.placed(b.second).finish;
-              if (fa != fb) return fa < fb;
-              return a.second < b.second;
-            });
+  std::sort(order_.begin(), order_.end(), [](const SupplierKey& a, const SupplierKey& b) {
+    if (a.finish != b.finish) return a.finish < b.finish;
+    return a.src < b.src;
+  });
 
-  for (const auto& [pred_index, src] : order) {
-    const PlacedReplica& sp = schedule_.placed(src);
-    Planned item;
-    item.pred_index = pred_index;
-    item.use.src = src;
-    item.use.edge = dag_->find_edge(preds[pred_index], task);
-    item.src_stage = sp.stage;
-    if (sp.proc == u) {
-      item.use.remote = false;
-      item.use.comm_start = sp.finish;
-      item.use.arrival = sp.finish;
+  // Plan every supplier communication under greedy FCFS port reservation
+  // on scratch copies of the cursors (commit re-runs this plan), folding
+  // in each predecessor's earliest arrival (ANY-of) and the paper's stage
+  // rule: max over communicating suppliers of stage + η.
+  double recv_cursor = recv_free_[u];
+  send_cursor_.assign(send_free_.begin(), send_free_.end());
+  double added_cin = 0.0;
+  added_cout_.assign(send_free_.size(), 0.0);
+  earliest_.assign(in.size(), std::numeric_limits<double>::infinity());
+  cand.stage = 1;
+  cand.suppliers.reserve(order_.size());
+  for (const SupplierKey& key : order_) {
+    SupplierUse use;
+    use.src = key.src;
+    use.edge = in[key.pred_index];
+    if (key.proc == u) {
+      use.remote = false;
+      use.comm_start = key.finish;
+      use.arrival = key.finish;
     } else {
-      const double duration =
-          platform_->comm_time(dag_->edge(item.use.edge).volume, sp.proc, u);
-      const double start = std::max({sp.finish, send_cursor[sp.proc], recv_cursor});
-      item.use.remote = true;
-      item.use.comm_start = start;
-      item.use.arrival = start + duration;
-      send_cursor[sp.proc] = item.use.arrival;
-      recv_cursor = item.use.arrival;
+      const double duration = platform_->comm_time(dag_->edge(use.edge).volume, key.proc, u);
+      const double start = std::max({key.finish, send_cursor_[key.proc], recv_cursor});
+      use.remote = true;
+      use.comm_start = start;
+      use.arrival = start + duration;
+      send_cursor_[key.proc] = use.arrival;
+      recv_cursor = use.arrival;
       added_cin += duration;
-      added_cout[sp.proc] += duration;
+      added_cout_[key.proc] += duration;
     }
-    planned.push_back(item);
+    earliest_[key.pred_index] = std::min(earliest_[key.pred_index], use.arrival);
+    cand.stage = std::max(cand.stage, key.stage + (use.remote ? 1u : 0u));
+    cand.suppliers.push_back(use);
   }
 
   // Port-load parts of condition (1).
   if (schedule_.cin(u) + added_cin > period) loads_ok = false;
-  for (ProcId h = 0; h < platform_->num_procs(); ++h) {
-    if (added_cout[h] > 0.0 && schedule_.cout(h) + added_cout[h] > period) loads_ok = false;
+  for (ProcId h = 0; h < added_cout_.size(); ++h) {
+    if (added_cout_[h] > 0.0 && schedule_.cout(h) + added_cout_[h] > period) loads_ok = false;
   }
 
-  // Readiness: earliest arrival per predecessor (ANY-of), latest over
-  // predecessors overall.
+  // Readiness: the latest of the per-predecessor earliest arrivals.
   double ready = 0.0;
-  for (std::size_t i = 0; i < preds.size(); ++i) {
-    double earliest = std::numeric_limits<double>::infinity();
-    for (const Planned& item : planned) {
-      if (item.pred_index == i) earliest = std::min(earliest, item.use.arrival);
-    }
-    ready = std::max(ready, earliest);
-  }
+  for (double earliest : earliest_) ready = std::max(ready, earliest);
 
   cand.start = std::max(ready, proc_free_[u]);
   cand.finish = cand.start + exec;
-
-  // Paper stage rule: max over communicating suppliers of stage + η.
-  cand.stage = 1;
-  for (const Planned& item : planned) {
-    cand.stage = std::max(cand.stage, item.src_stage + (item.use.remote ? 1u : 0u));
-  }
-
-  cand.suppliers.reserve(planned.size());
-  for (const Planned& item : planned) cand.suppliers.push_back(item.use);
   cand.valid = loads_ok;
   return cand;
 }

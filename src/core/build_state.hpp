@@ -13,6 +13,18 @@
 //   C^O_h + outgoing_h    <= Δ   for every supplier processor h != u
 // The lock-set part of condition (1) is enforced by the callers, who own
 // the per-task locked processor sets.
+//
+// In-edge invariant: the i-th supplier set of `evaluate` belongs to the
+// source of dag.in_edges(task)[i], and that edge is *the* pred→task edge,
+// because Dag rejects duplicate edges (Dag::reversed preserves this).
+// evaluate therefore reads edge ids straight from in_edges, never
+// searching for them.
+//
+// Threading: a BuildState is single-threaded. evaluate is const but
+// plans into scratch buffers held in mutable members (sort keys, send
+// cursors, added C^O, earliest arrivals), so it allocates nothing per call
+// beyond the returned candidate's supplier list; two threads must not
+// evaluate on one BuildState at the same time.
 #pragma once
 
 #include <vector>
@@ -49,7 +61,8 @@ class BuildState {
 
   /// Plans placing a fresh replica of `task` on `u`, supplied by
   /// `suppliers[i]` (a non-empty set of placed replicas of the i-th
-  /// predecessor, in dag.predecessors(task) order). ANY-of semantics: the
+  /// predecessor, in dag.in_edges(task) order, which is
+  /// dag.predecessors(task) order). ANY-of semantics: the
   /// replica may start at the earliest arrival per predecessor; every
   /// listed communication is reserved on the ports and counted against the
   /// period budget.
@@ -76,12 +89,28 @@ class BuildState {
   [[nodiscard]] double arrival_estimate(ReplicaRef src, EdgeId edge, ProcId dst) const;
 
  private:
+  /// Sort key of one supplier replica, with the placement facts the plan
+  /// reads (looked up once per evaluate).
+  struct SupplierKey {
+    double finish;
+    ReplicaRef src;
+    std::uint32_t pred_index;
+    ProcId proc;
+    std::uint32_t stage;
+  };
+
   const Dag* dag_;
   const Platform* platform_;
   Schedule schedule_;
   std::vector<double> proc_free_;
   std::vector<double> send_free_;
   std::vector<double> recv_free_;
+
+  // evaluate's scratch (see the threading note at the top of this file).
+  mutable std::vector<SupplierKey> order_;
+  mutable std::vector<double> send_cursor_;
+  mutable std::vector<double> added_cout_;
+  mutable std::vector<double> earliest_;
 };
 
 }  // namespace streamsched

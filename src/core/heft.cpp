@@ -40,9 +40,9 @@ ScheduleResult heft_schedule(const Dag& dag, const Platform& platform,
       BuildState::Candidate best;
       for (ProcId u = 0; u < platform.num_procs(); ++u) {
         if (state.hosts_copy_of(t, u)) continue;
-        const BuildState::Candidate cand = state.evaluate(t, u, suppliers);
+        BuildState::Candidate cand = state.evaluate(t, u, suppliers);
         if (!cand.valid) continue;
-        if (!best.valid || cand.finish < best.finish) best = cand;
+        if (!best.valid || cand.finish < best.finish) best = std::move(cand);
       }
       if (!best.valid) {
         return ScheduleResult::failure("HEFT: no processor can host task '" + dag.name(t) +

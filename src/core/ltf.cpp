@@ -35,9 +35,9 @@ BuildState::Candidate best_feasible(const BuildState& state, TaskId task,
   for (ProcId u = 0; u < state.num_procs(); ++u) {
     if (!allowed[u]) continue;
     if (state.hosts_copy_of(task, u)) continue;
-    const BuildState::Candidate cand = state.evaluate(task, u, suppliers);
+    BuildState::Candidate cand = state.evaluate(task, u, suppliers);
     if (!cand.valid) continue;
-    if (!best.valid || cand.finish < best.finish) best = cand;
+    if (!best.valid || cand.finish < best.finish) best = std::move(cand);
   }
   return best;
 }

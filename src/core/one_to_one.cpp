@@ -48,43 +48,38 @@ OneToOneContext make_one_to_one_context(const BuildState& state, TaskId task) {
 std::optional<OneToOneChoice> plan_one_to_one(const BuildState& state, TaskId task,
                                               const OneToOneContext& context,
                                               const std::vector<bool>& locked) {
-  const Dag& dag = state.dag();
-  const auto preds = dag.predecessors(task);
+  const auto in = state.dag().in_edges(task);
+  for (const auto& remaining : context.remaining) {
+    if (remaining.empty()) return std::nullopt;  // some predecessor is out of heads
+  }
 
   std::optional<OneToOneChoice> best;
+  std::vector<std::vector<ReplicaRef>> suppliers(in.size(), std::vector<ReplicaRef>(1));
+  std::vector<ReplicaRef> heads(in.size());
   for (ProcId u = 0; u < state.num_procs(); ++u) {
     if (locked[u]) continue;
     if (state.hosts_copy_of(task, u)) continue;
 
     // Head per predecessor: the remaining replica whose data can reach u
     // the earliest (paper: sort B(t_i) by communication finish times).
-    std::vector<std::vector<ReplicaRef>> suppliers(preds.size());
-    std::vector<ReplicaRef> heads(preds.size());
-    bool feasible = true;
-    for (std::size_t i = 0; i < preds.size(); ++i) {
-      if (context.remaining[i].empty()) {
-        feasible = false;
-        break;
-      }
-      const EdgeId edge = dag.find_edge(preds[i], task);
+    for (std::size_t i = 0; i < in.size(); ++i) {
       ReplicaRef head = context.remaining[i].front();
-      double best_arrival = state.arrival_estimate(head, edge, u);
+      double best_arrival = state.arrival_estimate(head, in[i], u);
       for (ReplicaRef cand : context.remaining[i]) {
-        const double arrival = state.arrival_estimate(cand, edge, u);
+        const double arrival = state.arrival_estimate(cand, in[i], u);
         if (arrival < best_arrival || (arrival == best_arrival && cand < head)) {
           best_arrival = arrival;
           head = cand;
         }
       }
       heads[i] = head;
-      suppliers[i] = {head};
+      suppliers[i][0] = head;
     }
-    if (!feasible) break;
 
-    const BuildState::Candidate cand = state.evaluate(task, u, suppliers);
+    BuildState::Candidate cand = state.evaluate(task, u, suppliers);
     if (!cand.valid) continue;
     if (!best || cand.finish < best->candidate.finish) {
-      best = OneToOneChoice{cand, heads};
+      best = OneToOneChoice{std::move(cand), heads};
     }
   }
   return best;

@@ -55,9 +55,9 @@ ScheduleResult stage_pack_schedule(const Dag& dag, const Platform& platform,
       const ProcId u = lanes[g][bin];
       std::vector<std::vector<ReplicaRef>> suppliers(preds.size());
       for (std::size_t i = 0; i < preds.size(); ++i) suppliers[i] = {{preds[i], g}};
-      const BuildState::Candidate cand = state.evaluate(t, u, suppliers);
+      BuildState::Candidate cand = state.evaluate(t, u, suppliers);
       if (!cand.valid) return false;
-      cands[g] = cand;
+      cands[g] = std::move(cand);
     }
     for (CopyId g = 0; g < copies; ++g) state.commit(t, g, cands[g]);
     slots[t] = Slot{current_stage, bin, true};

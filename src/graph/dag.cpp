@@ -62,6 +62,89 @@ EdgeId Dag::add_edge(TaskId src, TaskId dst, double volume) {
   return id;
 }
 
+Dag Dag::from_edges(const std::vector<double>& works, const std::vector<Edge>& edges) {
+  Dag dag;
+  for (double w : works) dag.add_task(w);
+
+  // add_edge's local checks (endpoints, self loop, volume, duplicate) in
+  // insertion order; a duplicate is any repeat of an earlier (src, dst).
+  std::vector<std::pair<std::uint64_t, std::size_t>> keys(edges.size());
+  for (std::size_t i = 0; i < edges.size(); ++i) {
+    keys[i] = {(std::uint64_t{edges[i].src} << 32) | edges[i].dst, i};
+  }
+  std::sort(keys.begin(), keys.end());
+  std::vector<bool> repeated(edges.size(), false);
+  for (std::size_t i = 1; i < keys.size(); ++i) {
+    if (keys[i].first == keys[i - 1].first) repeated[keys[i].second] = true;
+  }
+  const std::size_t tasks = dag.num_tasks();
+  std::size_t first_bad = edges.size();
+  for (std::size_t i = 0; i < edges.size(); ++i) {
+    const Edge& e = edges[i];
+    if (e.src >= tasks || e.dst >= tasks || e.src == e.dst || !(e.volume >= 0.0) ||
+        repeated[i]) {
+      first_bad = i;
+      break;
+    }
+  }
+
+  // Insert the valid prefix without per-edge reachability searches.
+  dag.edges_.assign(edges.begin(), edges.begin() + static_cast<std::ptrdiff_t>(first_bad));
+  for (EdgeId id = 0; id < dag.edges_.size(); ++id) {
+    dag.out_[dag.edges_[id].src].push_back(id);
+    dag.in_[dag.edges_[id].dst].push_back(id);
+  }
+
+  if (dag.has_cycle_below(static_cast<EdgeId>(first_bad))) {
+    // The first edge that closes a cycle: the smallest c whose prefix
+    // [0, c] is cyclic (cyclicity only grows with the prefix).
+    EdgeId lo = 0;
+    auto hi = static_cast<EdgeId>(first_bad - 1);
+    while (lo < hi) {
+      const EdgeId mid = lo + (hi - lo) / 2;
+      if (dag.has_cycle_below(mid + 1)) {
+        hi = mid;
+      } else {
+        lo = mid + 1;
+      }
+    }
+    first_bad = lo;
+  }
+  if (first_bad < edges.size()) {
+    // Roll back to the edges before the offender and let add_edge reject
+    // it, so the error is the one the incremental build reports.
+    dag.edges_.resize(first_bad);
+    for (TaskId t = 0; t < tasks; ++t) {
+      while (!dag.out_[t].empty() && dag.out_[t].back() >= first_bad) dag.out_[t].pop_back();
+      while (!dag.in_[t].empty() && dag.in_[t].back() >= first_bad) dag.in_[t].pop_back();
+    }
+    const Edge& e = edges[first_bad];
+    (void)dag.add_edge(e.src, e.dst, e.volume);
+    SS_CHECK(false, "bulk validation rejected an edge that add_edge accepts");
+  }
+  return dag;
+}
+
+bool Dag::has_cycle_below(EdgeId limit) const {
+  std::vector<std::uint32_t> waiting(num_tasks(), 0);
+  for (EdgeId e = 0; e < limit; ++e) ++waiting[edges_[e].dst];
+  std::vector<TaskId> ready;
+  for (TaskId t = 0; t < num_tasks(); ++t) {
+    if (waiting[t] == 0) ready.push_back(t);
+  }
+  std::size_t done = 0;
+  while (!ready.empty()) {
+    const TaskId u = ready.back();
+    ready.pop_back();
+    ++done;
+    for (EdgeId e : out_[u]) {
+      if (e >= limit) break;  // out lists are in increasing id order
+      if (--waiting[edges_[e].dst] == 0) ready.push_back(edges_[e].dst);
+    }
+  }
+  return done != num_tasks();
+}
+
 double Dag::work(TaskId t) const {
   check_task(t);
   return works_[t];

@@ -35,6 +35,15 @@ class Dag {
   /// and edges that would create a cycle.
   EdgeId add_edge(TaskId src, TaskId dst, double volume);
 
+  /// Builds a graph in one pass: tasks "t<i>" with `works`, then `edges`
+  /// in edge-id order, exactly like add_task(work) for each work followed
+  /// by add_edge for each edge, but validated once: a sort for duplicates
+  /// and Kahn's algorithm for cycles, O(V + E log E) instead of one DFS
+  /// per edge. On invalid input it throws what that add_task/add_edge
+  /// loop would have thrown, for the first offending task or edge.
+  [[nodiscard]] static Dag from_edges(const std::vector<double>& works,
+                                     const std::vector<Edge>& edges);
+
   [[nodiscard]] std::size_t num_tasks() const { return works_.size(); }
   [[nodiscard]] std::size_t num_edges() const { return edges_.size(); }
 
@@ -75,6 +84,8 @@ class Dag {
 
  private:
   void check_task(TaskId t) const;
+  /// True when the edges with id < limit contain a cycle (Kahn).
+  [[nodiscard]] bool has_cycle_below(EdgeId limit) const;
 
   std::vector<double> works_;
   std::vector<std::string> names_;

@@ -1,8 +1,12 @@
 #include "net/wire.hpp"
 
+#include <charconv>
+#include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <limits>
+#include <optional>
+#include <string_view>
 
 #include "util/assert.hpp"
 
@@ -27,24 +31,57 @@ std::vector<std::string> split(const std::string& s, char sep) {
   return out;
 }
 
-std::uint64_t parse_u64(const std::string& token, const std::string& what) {
-  if (token.empty()) bad("empty " + what);
+// Number tokens take a from_chars fast path when it consumes the whole
+// token (and, for doubles, yields a finite value); every other token goes
+// through the strtoull/strtod checks, so the accepted spellings (leading
+// '+', whitespace, hex floats, inf/nan, underflow), the values and the
+// error texts are those of the strto* parse.
+std::uint64_t parse_u64(std::string_view token, std::string_view what) {
+  if (token.empty()) bad("empty " + std::string(what));
+  std::uint64_t fast = 0;
+  const auto [ptr, ec] = std::from_chars(token.data(), token.data() + token.size(), fast);
+  if (ec == std::errc() && ptr == token.data() + token.size()) return fast;
+  const std::string text(token);
   char* end = nullptr;
   errno = 0;
-  const unsigned long long v = std::strtoull(token.c_str(), &end, 10);
-  if (errno != 0 || end != token.c_str() + token.size() || token[0] == '-') {
-    bad("malformed " + what + " '" + token + "'");
+  const unsigned long long v = std::strtoull(text.c_str(), &end, 10);
+  if (errno != 0 || end != text.c_str() + text.size() || text[0] == '-') {
+    bad("malformed " + std::string(what) + " '" + text + "'");
   }
   return static_cast<std::uint64_t>(v);
 }
 
-double parse_double(const std::string& token, const std::string& what) {
-  if (token.empty()) bad("empty " + what);
+double parse_double(std::string_view token, std::string_view what) {
+  if (token.empty()) bad("empty " + std::string(what));
+  double fast = 0.0;
+  const auto [ptr, ec] = std::from_chars(token.data(), token.data() + token.size(), fast);
+  if (ec == std::errc() && ptr == token.data() + token.size() && std::isfinite(fast)) {
+    return fast;
+  }
+  const std::string text(token);
   char* end = nullptr;
   errno = 0;
-  const double v = std::strtod(token.c_str(), &end);
-  if (end != token.c_str() + token.size()) bad("malformed " + what + " '" + token + "'");
+  const double v = std::strtod(text.c_str(), &end);
+  if (end != text.c_str() + text.size()) {
+    bad("malformed " + std::string(what) + " '" + text + "'");
+  }
   return v;
+}
+
+/// Calls `fn` on every `sep`-separated item of `s`, empty items included
+/// (the caller decides), without copying them.
+template <typename Fn>
+void for_each_item(std::string_view s, char sep, Fn&& fn) {
+  std::size_t start = 0;
+  for (;;) {
+    const std::size_t at = s.find(sep, start);
+    if (at == std::string_view::npos) {
+      fn(s.substr(start));
+      return;
+    }
+    fn(s.substr(start, at - start));
+    start = at + 1;
+  }
 }
 
 }  // namespace
@@ -97,46 +134,72 @@ std::string format_dag_wire(const Dag& dag) {
   return out;
 }
 
-Dag parse_dag_wire(const std::string& wire) {
-  const std::vector<std::string> sections = split(wire, ';');
-  if (sections.size() != 3 || sections[0].empty() || sections[0][0] != 'n' ||
-      sections[1].empty() || sections[1][0] != 'w' || sections[2].empty() ||
-      sections[2][0] != 'e') {
-    bad("DagWire needs 'n<tasks>;w...;e...' sections, got '" + wire + "'");
+Dag parse_dag_wire(std::string_view wire) {
+  std::string_view sections[3];
+  std::size_t count = 0;
+  for_each_item(wire, ';', [&](std::string_view section) {
+    if (count < 3) sections[count] = section;
+    ++count;
+  });
+  const std::string_view head = sections[0];
+  const std::string_view works = sections[1];
+  const std::string_view edges = sections[2];
+  if (count != 3 || head.empty() || head[0] != 'n' || works.empty() || works[0] != 'w' ||
+      edges.empty() || edges[0] != 'e') {
+    bad("DagWire needs 'n<tasks>;w...;e...' sections, got '" + std::string(wire) + "'");
   }
-  const std::uint64_t tasks = parse_u64(sections[0].substr(1), "DagWire task count");
+  const std::uint64_t tasks = parse_u64(head.substr(1), "DagWire task count");
+
+  std::vector<double> work_list;
+  if (works.size() > 1) {
+    for_each_item(works.substr(1), ',', [&](std::string_view item) {
+      const double work = parse_double(item, "DagWire work");
+      if (!(work >= 0.0)) {
+        bad("DagWire work must be non-negative, got '" + std::string(item) + "'");
+      }
+      work_list.push_back(work);
+    });
+  }
+  if (work_list.size() != tasks) {
+    bad("DagWire lists " + std::to_string(work_list.size()) + " works for n" +
+        std::to_string(tasks));
+  }
+
+  // Edges are collected until the first malformed one; the bulk build then
+  // rejects the earliest invalid edge before it, so errors come in the
+  // order an edge-by-edge build would raise them.
+  std::vector<Dag::Edge> edge_list;
+  std::optional<WireError> malformed;
+  if (edges.size() > 1) {
+    try {
+      for_each_item(edges.substr(1), ',', [&](std::string_view item) {
+        const std::size_t dash = item.find('-');
+        const std::size_t colon =
+            item.find(':', dash == std::string_view::npos ? 0 : dash + 1);
+        if (dash == std::string_view::npos || colon == std::string_view::npos) {
+          bad("DagWire edge needs '<src>-<dst>:<volume>', got '" + std::string(item) + "'");
+        }
+        const std::uint64_t src = parse_u64(item.substr(0, dash), "DagWire edge src");
+        const std::uint64_t dst =
+            parse_u64(item.substr(dash + 1, colon - dash - 1), "DagWire edge dst");
+        if (src >= tasks || dst >= tasks) {
+          bad("DagWire edge endpoint out of range: " + std::string(item));
+        }
+        const double volume = parse_double(item.substr(colon + 1), "DagWire edge volume");
+        edge_list.push_back(
+            Dag::Edge{static_cast<TaskId>(src), static_cast<TaskId>(dst), volume});
+      });
+    } catch (const WireError& e) {
+      malformed = e;
+    }
+  }
   Dag dag;
-  const std::string works = sections[1].substr(1);
-  std::uint64_t listed = 0;
-  if (!works.empty()) {
-    for (const std::string& w : split(works, ',')) {
-      dag.add_task(parse_double(w, "DagWire work"));
-      ++listed;
-    }
+  try {
+    dag = Dag::from_edges(work_list, edge_list);
+  } catch (const std::exception& e) {
+    bad(std::string("DagWire edge rejected: ") + e.what());
   }
-  if (listed != tasks) {
-    bad("DagWire lists " + std::to_string(listed) + " works for n" + std::to_string(tasks));
-  }
-  const std::string edges = sections[2].substr(1);
-  if (!edges.empty()) {
-    for (const std::string& item : split(edges, ',')) {
-      const std::size_t dash = item.find('-');
-      const std::size_t colon = item.find(':', dash == std::string::npos ? 0 : dash + 1);
-      if (dash == std::string::npos || colon == std::string::npos) {
-        bad("DagWire edge needs '<src>-<dst>:<volume>', got '" + item + "'");
-      }
-      const std::uint64_t src = parse_u64(item.substr(0, dash), "DagWire edge src");
-      const std::uint64_t dst = parse_u64(item.substr(dash + 1, colon - dash - 1),
-                                          "DagWire edge dst");
-      if (src >= tasks || dst >= tasks) bad("DagWire edge endpoint out of range: " + item);
-      const double volume = parse_double(item.substr(colon + 1), "DagWire edge volume");
-      try {
-        dag.add_edge(static_cast<TaskId>(src), static_cast<TaskId>(dst), volume);
-      } catch (const std::exception& e) {
-        bad(std::string("DagWire edge rejected: ") + e.what());
-      }
-    }
-  }
+  if (malformed) throw *malformed;
   return dag;
 }
 
@@ -272,37 +335,49 @@ std::vector<std::pair<std::string, std::string>> parse_fields(
 }  // namespace
 
 Request parse_request(const std::string& line) {
-  const std::vector<std::string> tokens = split(line, ' ');
-  if (tokens.empty() || tokens[0].empty()) bad("empty request");
+  // Views into `line`: the verb, then its key=value fields in order. Empty
+  // tokens (doubled spaces) are skipped, except that an empty verb or a
+  // trailing empty token after a field-less verb is an error.
+  std::vector<std::string_view> tokens;
+  for_each_item(line, ' ', [&](std::string_view token) { tokens.push_back(token); });
+  if (tokens[0].empty()) bad("empty request");
   Request request;
-  const std::string& verb = tokens[0];
+  const std::string_view verb = tokens[0];
   if (verb == "STATS" || verb == "HEALTH" || verb == "SHUTDOWN") {
-    if (tokens.size() > 1) bad(verb + " takes no fields");
+    if (tokens.size() > 1) bad(std::string(verb) + " takes no fields");
     request.verb = verb == "STATS"    ? Verb::kStats
                    : verb == "HEALTH" ? Verb::kHealth
                                       : Verb::kShutdown;
     return request;
   }
-  const auto fields = parse_fields(tokens, 1);
+  std::vector<std::pair<std::string_view, std::string_view>> fields;
+  for (std::size_t i = 1; i < tokens.size(); ++i) {
+    if (tokens[i].empty()) continue;  // tolerate doubled spaces
+    const std::size_t eq = tokens[i].find('=');
+    if (eq == std::string_view::npos || eq == 0) {
+      bad("expected key=value, got '" + std::string(tokens[i]) + "'");
+    }
+    fields.emplace_back(tokens[i].substr(0, eq), tokens[i].substr(eq + 1));
+  }
   if (verb == "SUBMIT") {
     request.verb = Verb::kSubmit;
     SubmitFrame& f = request.submit;
     bool have_dag = false;
     for (const auto& [key, value] : fields) {
       if (key == "qos") {
-        f.qos = parse_qos_class(value);
+        f.qos = parse_qos_class(std::string(value));
       } else if (key == "tag") {
         f.tag = value;
       } else if (key == "algo") {
         try {
-          (void)AlgoVariant::parse(value);  // validate against the registry
+          (void)AlgoVariant::parse(std::string(value));  // validate against the registry
         } catch (const std::exception& e) {
           bad(std::string("bad algo: ") + e.what());
         }
         f.variant_spec = value;
       } else if (key == "model") {
         try {
-          f.model = FaultModel::parse(value);
+          f.model = FaultModel::parse(std::string(value));
         } catch (const std::exception& e) {
           bad(std::string("bad model: ") + e.what());
         }
@@ -318,13 +393,13 @@ Request parse_request(const std::string& line) {
         } else if (value == "0") {
           f.degraded_ok = false;
         } else {
-          bad("degraded_ok must be 0|1, got '" + value + "'");
+          bad("degraded_ok must be 0|1, got '" + std::string(value) + "'");
         }
       } else if (key == "dag") {
         f.dag = parse_dag_wire(value);
         have_dag = true;
       } else {
-        bad("unknown SUBMIT field '" + key + "'");
+        bad("unknown SUBMIT field '" + std::string(key) + "'");
       }
     }
     if (!have_dag) bad("SUBMIT needs a dag= field");
@@ -342,7 +417,7 @@ Request parse_request(const std::string& line) {
         } else if (value == "recover") {
           f.failure = false;
         } else {
-          bad("EVENT kind must be fail|recover, got '" + value + "'");
+          bad("EVENT kind must be fail|recover, got '" + std::string(value) + "'");
         }
         have_kind = true;
       } else if (key == "proc") {
@@ -351,13 +426,13 @@ Request parse_request(const std::string& line) {
       } else if (key == "tag") {
         f.tag = value;
       } else {
-        bad("unknown EVENT field '" + key + "'");
+        bad("unknown EVENT field '" + std::string(key) + "'");
       }
     }
     if (!have_kind || !have_proc) bad("EVENT needs kind= and proc=");
     return request;
   }
-  bad("unknown verb '" + verb + "'");
+  bad("unknown verb '" + std::string(verb) + "'");
 }
 
 std::string format_submit(const SubmitFrame& frame) {

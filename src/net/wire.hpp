@@ -35,6 +35,7 @@
 #include <cstdint>
 #include <stdexcept>
 #include <string>
+#include <string_view>
 #include <utility>
 #include <vector>
 
@@ -92,8 +93,11 @@ class WireError : public std::runtime_error {
 [[nodiscard]] std::string format_dag_wire(const Dag& dag);
 
 /// Parses DagWire. Edges are re-added in serialized order, so edge ids —
-/// and therefore the DAG fingerprint — are preserved. Throws WireError.
-[[nodiscard]] Dag parse_dag_wire(const std::string& wire);
+/// and therefore the DAG fingerprint — are preserved. The graph is built
+/// in bulk and validated once (Dag::from_edges), so a frame at the line
+/// cap parses in time linear in its size up to a log factor. Throws
+/// WireError.
+[[nodiscard]] Dag parse_dag_wire(std::string_view wire);
 
 // ------------------------------------------------------------ ScheduleWire --
 

@@ -12,14 +12,18 @@
 #include <atomic>
 #include <cerrno>
 #include <chrono>
+#include <condition_variable>
 #include <cstdio>
 #include <fstream>
+#include <mutex>
 #include <sstream>
 #include <string>
 #include <thread>
 #include <vector>
 
 #include "core/fingerprint.hpp"
+#include "core/registry.hpp"
+#include "core/rltf.hpp"
 #include "graph/generators.hpp"
 #include "helpers.hpp"
 #include "net/client.hpp"
@@ -727,6 +731,51 @@ TEST(ServerRobustness, HealthVerbReportsLanesAndStatus) {
   EXPECT_EQ(resp.field_u64("batch_inflight"), 0u);
 }
 
+// R-LTF behind a gate the test holds: a registry extension whose
+// admissions wait until the gate opens, so a lane stays occupied exactly
+// as long as the test decides, whatever the schedulers' speed.
+struct AdmissionGate {
+  std::mutex mutex;
+  std::condition_variable cv;
+  bool open = true;
+
+  static AdmissionGate& instance() {
+    static AdmissionGate gate;
+    return gate;
+  }
+  static const char* algo() {
+    static const char* const name = [] {
+      SchedulerRegistry::instance().add(
+          {"test_gated_rltf", "GatedR-LTF", "R-LTF that waits for a test-held gate",
+           [](const Dag& dag, const Platform& platform, const SchedulerOptions& options) {
+             AdmissionGate& gate = instance();
+             std::unique_lock<std::mutex> lock(gate.mutex);
+             gate.cv.wait(lock, [&gate] { return gate.open; });
+             lock.unlock();
+             return rltf_schedule(dag, platform, options);
+           },
+           {},
+           {}});
+      return "test_gated_rltf";
+    }();
+    return name;
+  }
+  void set(bool is_open) {
+    {
+      const std::lock_guard<std::mutex> lock(mutex);
+      open = is_open;
+    }
+    cv.notify_all();
+  }
+};
+
+/// Closes the gate for its lifetime. Declare it after the server handle,
+/// so it opens before the server joins its workers.
+struct ClosedGate {
+  ClosedGate() { AdmissionGate::instance().set(false); }
+  ~ClosedGate() { AdmissionGate::instance().set(true); }
+};
+
 TEST(ServerRobustness, BusyShedCarriesRetryHintScaledByLaneDepth) {
   const FileGuard sock(unique_path("srv_hint", ".sock"));
   net::ServerConfig config;
@@ -736,15 +785,17 @@ TEST(ServerRobustness, BusyShedCarriesRetryHintScaledByLaneDepth) {
   interactive.bound = 1;
   config.busy_retry_hint_ms = 30;
   ServerHandle handle(small_platform(), config);
+  ClosedGate gate;
   net::Client client = net::Client::connect_unix_path(sock.path);
 
-  // Two pipelined SUBMITs: the first (a 40-task cold schedule) fills the
-  // lane (bound 1) for far longer than parsing the second takes, so the
-  // second is deterministically shed.
-  client.send_line(net::format_submit(frame_for(601, "one", 40)));
-  client.send_line(net::format_submit(frame_for(602, "two")));
+  // Two SUBMITs in ONE write: the first (held at the gate) fills the lane
+  // (bound 1) until the test opens the gate, so the second is shed however
+  // the poll thread, the worker and the scheduler are timed.
+  net::SubmitFrame held = frame_for(601, "one");
+  held.variant_spec = AdmissionGate::algo();
+  client.send_line(net::format_submit(held) + "\n" +
+                   net::format_submit(frame_for(602, "two")));
   net::Response first = client.read_response();
-  net::Response second = client.read_response();
   // The BUSY response is written synchronously from the poll thread, so
   // it always arrives before the accepted admission's response.
   ASSERT_FALSE(first.ok);
@@ -752,6 +803,9 @@ TEST(ServerRobustness, BusyShedCarriesRetryHintScaledByLaneDepth) {
   EXPECT_EQ(first.field("tag"), "two");
   EXPECT_GE(first.field_u64("retry_ms"), config.busy_retry_hint_ms);
   EXPECT_LE(first.field_u64("retry_ms"), 2000u);
+
+  AdmissionGate::instance().set(true);
+  net::Response second = client.read_response();
   ASSERT_TRUE(second.ok) << second.message;
   EXPECT_EQ(second.field("tag"), "one");
 }

@@ -4,9 +4,12 @@
 // response formatting/parsing including the tag echo on errors.
 #include <gtest/gtest.h>
 
+#include <chrono>
 #include <cmath>
 #include <cstring>
+#include <functional>
 #include <limits>
+#include <string>
 
 #include "core/fingerprint.hpp"
 #include "core/rltf.hpp"
@@ -79,6 +82,97 @@ TEST(DagWire, StrictRejects) {
   EXPECT_THROW((void)parse_dag_wire("n2;w1,2;e0:1"), WireError);    // malformed edge
   EXPECT_THROW((void)parse_dag_wire("n2;w1,oops;e"), WireError);    // malformed work
   EXPECT_THROW((void)parse_dag_wire("n2;w1,2"), WireError);         // missing edge section
+}
+
+TEST(DagWire, NegativeOrNanWorkIsABadRequest) {
+  // add_task rejects these with std::invalid_argument; on the wire they
+  // must be a WireError (BAD_REQUEST), not an exception the server's
+  // request loop does not expect.
+  for (const char* wire : {"n1;w-1;e", "n2;w1,nan;e", "n2;w-inf,1;e0-1:1"}) {
+    try {
+      (void)parse_dag_wire(wire);
+      ADD_FAILURE() << wire << " parsed";
+    } catch (const WireError& e) {
+      EXPECT_EQ(e.code(), WireCode::kBadRequest);
+      EXPECT_NE(std::string(e.what()).find("non-negative"), std::string::npos) << e.what();
+    }
+  }
+  EXPECT_THROW((void)parse_request("SUBMIT dag=n1;w-1;e"), WireError);
+}
+
+TEST(DagWire, RejectsTheFirstInvalidEdgeInListOrder) {
+  // The bulk build reports what an edge-by-edge build would: the earliest
+  // offending edge, even when a later edge is malformed or also invalid.
+  const auto reason = [](const std::string& wire) -> std::string {
+    try {
+      (void)parse_dag_wire(wire);
+    } catch (const WireError& e) {
+      return e.what();
+    }
+    return "parsed";
+  };
+  EXPECT_NE(reason("n3;w1,1,1;e0-1:1,1-2:1,2-0:1,0-1:1").find("would create a cycle"),
+            std::string::npos);
+  EXPECT_NE(reason("n3;w1,1,1;e0-1:1,0-1:1,1-2:1,2-0:1").find("duplicate edge"),
+            std::string::npos);
+  EXPECT_NE(reason("n3;w1,1,1;e0-1:1,1-0:1,x").find("would create a cycle"),
+            std::string::npos);
+  EXPECT_NE(reason("n3;w1,1,1;e0-1:1,1-1:1,1-0:1").find("self loops"), std::string::npos);
+  EXPECT_NE(reason("n3;w1,1,1;e0-1:1,1-2:x,1-0:1").find("malformed DagWire edge volume"),
+            std::string::npos);
+}
+
+TEST(DagWire, LineCapFrameParsesInBoundedTime) {
+  // A 15k-task chain followed by 45k skip edges (every task to the three
+  // tasks after its successor), about 0.78 MB: under the server's 1 MiB
+  // line cap. An edge-by-edge build searches the rest of the chain for a
+  // cycle on every skip edge, seconds of work on the poll thread; the
+  // bulk build is one sort and one Kahn pass.
+  constexpr std::size_t kTasks = 15000;
+  std::string wire = "n" + std::to_string(kTasks) + ";w";
+  for (std::size_t t = 0; t < kTasks; ++t) wire += t == 0 ? "1" : ",1";
+  wire += ";e";
+  std::size_t edges = 0;
+  const auto add = [&](std::size_t src, std::size_t dst) {
+    if (edges++ > 0) wire += ',';
+    wire += std::to_string(src) + "-" + std::to_string(dst) + ":1";
+  };
+  for (std::size_t t = 0; t + 1 < kTasks; ++t) add(t, t + 1);
+  for (std::size_t skip = 2; skip <= 4; ++skip) {
+    for (std::size_t t = 0; t + skip < kTasks; ++t) add(t, t + skip);
+  }
+  ASSERT_GE(edges, 59000u);
+  const std::string line = "SUBMIT dag=" + wire;
+  ASSERT_LT(line.size(), std::size_t{1} << 20);
+
+  // Generous bound: the bulk build takes milliseconds in a release build;
+  // sanitizer builds are several times slower.
+  const auto timed = [](const std::function<void()>& fn) {
+    const auto t0 = std::chrono::steady_clock::now();
+    fn();
+    return std::chrono::duration<double>(std::chrono::steady_clock::now() - t0).count();
+  };
+  const double parse_s = timed([&] {
+    const Request request = parse_request(line);
+    EXPECT_EQ(request.submit.dag.num_tasks(), kTasks);
+    EXPECT_EQ(request.submit.dag.num_edges(), edges);
+  });
+  EXPECT_LT(parse_s, 2.0);
+
+  // The same frame with a cycle-closing or a duplicate edge at the end is
+  // still refused, as fast.
+  for (const std::string tail : {",14999-0:1", ",7-9:1"}) {
+    const double reject_s = timed([&] {
+      try {
+        (void)parse_request(line + tail);
+        ADD_FAILURE() << "accepted" << tail;
+      } catch (const WireError& e) {
+        EXPECT_EQ(e.code(), WireCode::kBadRequest);
+        EXPECT_NE(std::string(e.what()).find("DagWire edge rejected"), std::string::npos);
+      }
+    });
+    EXPECT_LT(reject_s, 2.0) << tail;
+  }
 }
 
 // ------------------------------------------------------------ ScheduleWire --
